@@ -6,12 +6,18 @@ backward pass over the tape fills the ``grad`` field of every tensor
 created with ``requires_grad=True``. The tape is rebuilt from scratch for
 each training step, so the graph can change freely between steps.
 
+The module owns the active tape, and the tape owns its ops and their
+tensors. Tensors refer back to their tape only weakly, so reset_tape()
+frees the previous step's tape and every intermediate on it by reference
+counting alone; run backward before resetting.
+
 Construction and backward are single-threaded; tensors are immutable once
 written and may be read from worker threads.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,7 +87,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._flow = requires_grad
-        self._tape: Optional[Tape] = None
+        self._tape: Optional[weakref.ref] = None
 
     @property
     def shape(self):
@@ -186,9 +192,8 @@ def make_op(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out._tape = None
     out._flow = any(t._flow for t in inputs)
     if out._flow:
-        tape = _current_tape
-        out._tape = tape
-        tape.record(kind, tuple(inputs), out, backward_rule)
+        out._tape = weakref.ref(_current_tape)
+        _current_tape.record(kind, tuple(inputs), out, backward_rule)
     return out
 
 
@@ -204,7 +209,10 @@ def backward(loss: Tensor):
         if loss.requires_grad:
             loss.accumulate_grad(np.ones((1, 1)))
         return
-    tape = loss._tape
+    tape = loss._tape()
+    if tape is None:
+        raise RuntimeError("backward: the loss's tape was released by "
+                           "reset_tape()")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     holders: dict[int, Tensor] = {id(loss): loss}
     for op in reversed(tape.ops):

@@ -184,6 +184,7 @@ def _cmd_distance(args) -> int:
         "plan": plan.P.tolist(),
         "iterations": plan.iterations,
         "residual": plan.residual,
+        "status": plan.status,
     }, indent=2))
     return 0
 

@@ -1,11 +1,5 @@
-"""Numerical kernels for the transport solver, in two interchangeable
-implementations: explicit-loop functions compiled with numba, and a
-vectorized numpy fallback.
-
-Selection is controlled by the FGWCL_KERNELS environment variable:
-``numba`` (require the compiled path), ``numpy`` (force the fallback) or
-``auto`` (numba when importable, default). Both paths implement the same
-semantics; the benchmark script under benchmarks/ compares their speed.
+"""Numerical kernels for the transport solver: the factorized squared-loss
+tensor product and the BAPG solve, vectorized with numpy.
 
 BAPG iteration (alternating Bregman projections): starting from P0,
 each iteration applies a row step (multiplicative update by exp(-G/beta)
@@ -16,39 +10,21 @@ but immune to underflow at small beta. Stops when the Frobenius change
 between consecutive iterates drops to eps; the strict stopping mode also
 requires the row-marginal residual to be within eps.
 
-Status codes returned by the bapg kernels: 0 converged, 1 hit the
+Status codes returned by the bapg kernel: 0 converged, 1 hit the
 iteration cap, 2 non-finite values (iteration index in the second slot).
 """
 
 from __future__ import annotations
 
-import os
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 STATUS_CONVERGED = 0
 STATUS_MAX_ITERS = 1
 STATUS_NON_FINITE = 2
 
-
-# ---------------------------------------------------------------------------
-# numpy implementations
 
 def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
                          P: np.ndarray) -> np.ndarray:
@@ -106,167 +82,14 @@ def bapg_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0,
     return P, iters, status
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
+class KernelBackend(NamedTuple):
+    """The solver entry point that transport callers dispatch through."""
 
-@njit(cache=True, nogil=True)
-def tensor_product_numba(C1, C2, P):
-    n = C1.shape[0]
-    m = C2.shape[0]
-    p = np.zeros(n)
-    q = np.zeros(m)
-    for k in range(n):
-        for l in range(m):
-            p[k] += P[k, l]
-            q[l] += P[k, l]
-    term_rows = np.zeros(n)
-    for i in range(n):
-        s = 0.0
-        for k in range(n):
-            s += C1[i, k] * C1[i, k] * p[k]
-        term_rows[i] = s
-    term_cols = np.zeros(m)
-    for j in range(m):
-        s = 0.0
-        for l in range(m):
-            s += C2[j, l] * C2[j, l] * q[l]
-        term_cols[j] = s
-    cross = np.dot(np.dot(C1, P), C2.T.copy())
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = term_rows[i] + term_cols[j] - 2.0 * cross[i, j]
-    return out
+    bapg: Callable
 
 
-@njit(cache=True, nogil=True)
-def bapg_numba(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0,
-               strict_stop):
-    n = M.shape[0]
-    m = M.shape[1]
-    logmu = np.log(mu)
-    lognu = np.log(nu)
-    P = P0.copy()
-    logP = np.log(P)
-    iters = max_iters
-    status = STATUS_MAX_ITERS
-    for it in range(1, max_iters + 1):
-        P_prev = P.copy()
-        # row step
-        G = tensor_product_numba(C1, C2, P)
-        for i in range(n):
-            for j in range(m):
-                logP[i, j] -= (alpha * M[i, j]
-                               + 2.0 * (1.0 - alpha) * G[i, j]) / beta
-        for i in range(n):
-            mx = -np.inf
-            for j in range(m):
-                if logP[i, j] > mx:
-                    mx = logP[i, j]
-            s = 0.0
-            for j in range(m):
-                s += np.exp(logP[i, j] - mx)
-            shift = logmu[i] - (mx + np.log(s))
-            for j in range(m):
-                logP[i, j] += shift
-                P[i, j] = np.exp(logP[i, j])
-        ok = True
-        for i in range(n):
-            for j in range(m):
-                if not np.isfinite(P[i, j]):
-                    ok = False
-        if not ok:
-            return P, it, STATUS_NON_FINITE
-        # column step
-        G = tensor_product_numba(C1, C2, P)
-        for i in range(n):
-            for j in range(m):
-                logP[i, j] -= (alpha * M[i, j]
-                               + 2.0 * (1.0 - alpha) * G[i, j]) / beta
-        for j in range(m):
-            mx = -np.inf
-            for i in range(n):
-                if logP[i, j] > mx:
-                    mx = logP[i, j]
-            s = 0.0
-            for i in range(n):
-                s += np.exp(logP[i, j] - mx)
-            shift = lognu[j] - (mx + np.log(s))
-            for i in range(n):
-                logP[i, j] += shift
-                P[i, j] = np.exp(logP[i, j])
-        ok = True
-        for i in range(n):
-            for j in range(m):
-                if not np.isfinite(P[i, j]):
-                    ok = False
-        if not ok:
-            return P, it, STATUS_NON_FINITE
-        delta = 0.0
-        for i in range(n):
-            for j in range(m):
-                d = P[i, j] - P_prev[i, j]
-                delta += d * d
-        delta = np.sqrt(delta)
-        if delta <= eps:
-            accept = True
-            if strict_stop:
-                resid = 0.0
-                for i in range(n):
-                    s = 0.0
-                    for j in range(m):
-                        s += P[i, j]
-                    r = abs(s - mu[i])
-                    if r > resid:
-                        resid = r
-                accept = resid <= eps
-            if accept:
-                iters = it
-                status = STATUS_CONVERGED
-                break
-    for j in range(m):
-        s = 0.0
-        for i in range(n):
-            s += P[i, j]
-        scale = nu[j] / s
-        for i in range(n):
-            P[i, j] *= scale
-    return P, iters, status
+_BACKEND = KernelBackend(bapg_numpy)
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-
-class KernelBackend:
-    """The pair of kernel entry points actually in use."""
-
-    __slots__ = ("name", "tensor_product", "bapg")
-
-    def __init__(self, name, tensor_product, bapg):
-        self.name = name
-        self.tensor_product = tensor_product
-        self.bapg = bapg
-
-
-_NUMPY_BACKEND = KernelBackend("numpy", tensor_product_numpy, bapg_numpy)
-_NUMBA_BACKEND = KernelBackend("numba", tensor_product_numba, bapg_numba)
-
-
-def get_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a kernel backend; ``name=None`` reads FGWCL_KERNELS."""
-    if name is None:
-        name = os.environ.get("FGWCL_KERNELS", "auto").lower()
-    if name == "auto":
-        name = "numba" if HAS_NUMBA else "numpy"
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("FGWCL_KERNELS=numba but numba is not installed")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown kernel backend {name!r} "
-                     "(expected numba, numpy or auto)")
-
-
-def backend_name() -> str:
-    return get_backend().name
+def get_backend() -> KernelBackend:
+    return _BACKEND

@@ -24,8 +24,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import (STATUS_NON_FINITE, KernelBackend, get_backend,
-                      tensor_product_numpy)
+from .kernels import STATUS_NON_FINITE, KernelBackend, get_backend
+from .kernels import tensor_product_numpy as tensor_product
 
 
 @dataclass
@@ -38,8 +38,7 @@ class FgwConfig:
     tol: float = 1e-6
     tau: float = 1.0
     seed: int = 0
-    init_jitter: float = 1e-3  # 0 (or product_init) starts from exactly mu nu^T
-    product_init: bool = False
+    init_jitter: float = 1e-3  # 0 starts from exactly mu nu^T
     plain_stop: bool = False  # Frobenius-change rule only, no residual check
 
     def __post_init__(self):
@@ -75,6 +74,7 @@ class TransportPlan:
     objective: float
     iterations: int
     residual: float  # max abs row-marginal violation; columns are exact
+    status: int  # kernels.STATUS_CONVERGED or STATUS_MAX_ITERS
 
 
 def _lift(x) -> Tensor:
@@ -101,17 +101,6 @@ def build_cost_matrices(A1, A2, H1, H2, tau: float) -> CostMatrices:
     return CostMatrices(M=M, C1=C1, C2=C2, tau=tau)
 
 
-def tensor_product(C1: np.ndarray, C2: np.ndarray, P: np.ndarray,
-                   backend: KernelBackend | None = None) -> np.ndarray:
-    """(L tensor P) on raw arrays via the active kernel backend."""
-    if backend is None:
-        backend = get_backend()
-    C1 = np.ascontiguousarray(C1, dtype=np.float64)
-    C2 = np.ascontiguousarray(C2, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
-    return backend.tensor_product(C1, C2, P)
-
-
 def tensor_product_taped(C1: Tensor, C2: Tensor, P: np.ndarray) -> Tensor:
     """Taped twin of the factorized tensor product; P is a constant."""
     p = ad.constant(P.sum(axis=1).reshape(-1, 1))
@@ -136,10 +125,10 @@ def initial_plan(mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig) -> np.ndarray:
     """Independent coupling mu nu^T, by default with a small seeded jitter.
 
     The jitter breaks the symmetric stationary point the plain product
-    initialization sits on when C1 = C2; product_init keeps exactly mu nu^T.
+    initialization sits on when C1 = C2; init_jitter=0 keeps exactly mu nu^T.
     """
     P0 = np.outer(mu, nu)
-    if cfg.product_init or cfg.init_jitter == 0.0:
+    if cfg.init_jitter == 0.0:
         return P0
     rng = np.random.default_rng(cfg.seed)
     P0 = P0 * (1.0 + cfg.init_jitter * rng.random(P0.shape))
@@ -177,11 +166,12 @@ def bapg_fgwd(costs: CostMatrices, mu, nu, cfg: FgwConfig,
         raise ArithmeticError(
             f"bapg_fgwd: non-finite plan at iteration {iters} "
             f"(beta={cfg.beta}, alpha={cfg.alpha}); consider a larger beta")
-    lp = tensor_product(C1, C2, P, backend=backend)
+    lp = tensor_product(C1, C2, P)
     objective = float(((cfg.alpha * M + (1.0 - cfg.alpha) * lp) * P).sum())
     residual = float(np.abs(P.sum(axis=1) - mu).max())
     return TransportPlan(P=P, mu=mu, nu=nu, objective=objective,
-                         iterations=int(iters), residual=residual)
+                         iterations=int(iters), residual=residual,
+                         status=int(status))
 
 
 def wd_exact_small(M: np.ndarray, mu, nu) -> float:
@@ -219,7 +209,7 @@ def fgw_brute_small(costs: CostMatrices, cfg: FgwConfig) -> float:
 
     def objective(t):
         P = _coupling_2x2(t)
-        lp = tensor_product_numpy(C1, C2, P)
+        lp = tensor_product(C1, C2, P)
         return float(((cfg.alpha * M + (1.0 - cfg.alpha) * lp) * P).sum())
 
     grid = np.linspace(0.0, 0.5, 10_000)

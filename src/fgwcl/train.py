@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import TrainConfig, config_hash
 from .graph import Graph
-from .kernels import KernelBackend, get_backend
+from .kernels import KernelBackend
 from .losses import (LossBreakdown, batch_indices, loss_fusion, loss_node,
                      loss_node_v2, loss_ot, solve_batch_plans, total_loss)
 from .model import GraphTensors, Model, prepare_graph, save_checkpoint
@@ -174,8 +174,6 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
           backend: Optional[KernelBackend] = None) -> TrainResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if backend is None:
-        backend = get_backend()
     gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
     model = build_model(cfg, g)
     enc_state = AdamState(model.encoder_generator_params(), cfg.lr)
@@ -209,6 +207,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
             stream.flush()
             records.append(rec)
             last_good = {k: v.data.copy() for k, v in model.params.items()}
+    ad.reset_tape()  # frees the last step's tape
     if diverged:
         for name, tensor in model.params.items():
             tensor.data = last_good[name]
@@ -221,7 +220,6 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
     summary = {
         "config": cfg.to_dict(),
         "config_hash": config_hash(cfg),
-        "backend": backend.name,
         "epochs_run": len(records),
         "diverged": diverged,
         "final": records[-1] if records else None,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fgwcl import autodiff as ad
+from fgwcl.config import TrainConfig
+from fgwcl.graph import CsbmParams, generate_csbm
 
 
 def rel_err(a, b, floor=1e-8):
@@ -57,6 +59,20 @@ def check_grad(build, params, h=1e-5, tol=1e-6):
         assert got is not None, f"no gradient reached parameter {name!r}"
         err = rel_err(got, numeric)
         assert err < tol, f"gradient mismatch for {name!r}: rel err {err:.3e}"
+
+
+def tiny_graph(seed=0, n=60):
+    return generate_csbm(CsbmParams(n=n, feature_dim=8, p=0.25, q=0.03,
+                                    mu_sig=1.0, seed=seed))
+
+
+def tiny_config(**kw):
+    """A training config small enough for a few epochs in under a second."""
+    base = dict(lr=2e-3, lr_fusion=2e-3, alpha=0.5, beta=5.0, k=4, tau=1.0,
+                beta1=0.1, num_anchors=6, num_negatives=2, epochs=3,
+                hidden_dim=8, out_dim=6, seed=0, bapg_iters=10)
+    base.update(kw)
+    return TrainConfig(**base)
 
 
 @pytest.fixture

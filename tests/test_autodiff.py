@@ -1,6 +1,9 @@
 """Tape engine: forward values against numpy, gradients against central
 finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -330,6 +333,28 @@ class TestTapeMechanics:
         assert len(ad.active_tape()) == 2
         ad.reset_tape()
         assert len(ad.active_tape()) == 0
+
+    def test_reset_frees_finished_tape_without_cycle_collector(self, rng):
+        gc.disable()
+        try:
+            tape = ad.reset_tape()
+            t = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+            loss = ad.sum_all(ad.exp(ad.mul(t, t)))
+            ad.backward(loss)
+            finished = weakref.ref(tape)
+            del tape
+            ad.reset_tape()
+            assert finished() is None
+        finally:
+            gc.enable()
+
+    def test_backward_after_reset_is_an_error(self):
+        ad.reset_tape()
+        t = ad.Tensor([[2.0]], requires_grad=True)
+        loss = ad.mul(t, t)
+        ad.reset_tape()
+        with pytest.raises(RuntimeError, match="released"):
+            ad.backward(loss)
 
     def test_no_flow_not_recorded(self, rng):
         ad.reset_tape()

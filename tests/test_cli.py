@@ -5,6 +5,7 @@ import pytest
 
 from fgwcl import cli
 from fgwcl.graph import CsbmParams, generate_csbm, make_graph, save_graph
+from fgwcl.kernels import STATUS_CONVERGED
 
 TINY_CFG = dict(lr=2e-3, beta=5.0, k=4, num_anchors=5, epochs=2,
                 hidden_dim=8, out_dim=6, bapg_iters=8)
@@ -145,6 +146,7 @@ class TestDistance:
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == pytest.approx(np.exp(-0.125), rel=1e-12)
         assert out["plan"] == [[1.0]]
+        assert out["status"] == STATUS_CONVERGED
 
     def test_structure_self_distance_near_zero(self, tmp_path, capsys):
         x = [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2], [0.0, 0.6]]

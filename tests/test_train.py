@@ -1,27 +1,15 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fgwcl.config import TrainConfig
-from fgwcl.graph import CsbmParams, generate_csbm
+from fgwcl import autodiff as ad
 from fgwcl.model import load_checkpoint
 from fgwcl.train import (PHASES, build_model, epoch_seed, fgw_config,
                          run_epoch, train)
-
-
-def tiny_graph(seed=0, n=60):
-    return generate_csbm(CsbmParams(n=n, feature_dim=8, p=0.25, q=0.03,
-                                    mu_sig=1.0, seed=seed))
-
-
-def tiny_config(**kw):
-    base = dict(lr=2e-3, lr_fusion=2e-3, alpha=0.5, beta=5.0, k=4, tau=1.0,
-                beta1=0.1, num_anchors=6, num_negatives=2, epochs=3,
-                hidden_dim=8, out_dim=6, seed=0, bapg_iters=10)
-    base.update(kw)
-    return TrainConfig(**base)
+from conftest import tiny_config, tiny_graph
 
 
 def load_metrics(path):
@@ -107,6 +95,18 @@ class TestTrainLoop:
         for name, arr in arrays.items():
             assert np.all(np.isfinite(arr)), name
             assert_allclose(arr, result.model.params[name].data)
+
+    def test_no_tape_outlives_training(self, tmp_path):
+        g = tiny_graph()
+        gc.collect()
+        gc.disable()
+        try:
+            train(tiny_config(), g, tmp_path / "run")
+            held = [o for o in gc.get_objects()
+                    if isinstance(o, ad.Tape) and len(o)]
+        finally:
+            gc.enable()
+        assert held == []
 
     def test_threads_do_not_change_losses(self, tmp_path):
         g = tiny_graph()
