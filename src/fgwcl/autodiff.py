@@ -12,7 +12,7 @@ frees the previous step's tape and every intermediate on it by reference
 counting alone; run backward before resetting.
 
 Construction and backward are single-threaded; tensors are immutable once
-written and may be read from worker threads.
+written.
 """
 
 from __future__ import annotations
@@ -309,6 +309,51 @@ def transpose(a: Tensor) -> Tensor:
     a = _lift(a)
     return make_op("transpose", (a,), a.data.T.copy(),
                    lambda g: (g.T.copy(),))
+
+
+def block_matmul_t(a: Tensor, b: Tensor, blocks: int) -> Tensor:
+    """Block-diagonal products of row blocks: a stacks `blocks` equal
+    blocks a_k of shape (n, d), b stacks blocks b_k of shape (m, d), and
+    the result stacks a_k b_k^T as a (blocks * n, m) matrix."""
+    a, b = _lift(a), _lift(b)
+    if (blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks
+            or a.shape[1] != b.shape[1]):
+        raise ValueError(f"block_matmul_t: shapes {a.shape} and {b.shape} "
+                         f"do not split into {blocks} blocks")
+    d = a.shape[1]
+    a3 = a.data.reshape(blocks, -1, d)
+    b3 = b.data.reshape(blocks, -1, d)
+    out = a3 @ b3.transpose(0, 2, 1)
+
+    def back(g):
+        g3 = g.reshape(out.shape)
+        return ((g3 @ b3).reshape(a.shape),
+                (g3.transpose(0, 2, 1) @ a3).reshape(b.shape))
+
+    return make_op("block_matmul_t", (a, b), out.reshape(-1, out.shape[2]),
+                   back)
+
+
+# ---------------------------------------------------------------------------
+# layout
+
+def vstack(tensors: Sequence[Tensor]) -> Tensor:
+    """Rows of the inputs, in order, as one matrix."""
+    ts = tuple(_lift(t) for t in tensors)
+    if not ts or any(t.shape[1] != ts[0].shape[1] for t in ts):
+        raise ValueError("vstack: need one or more inputs with equal "
+                         "column counts")
+    splits = np.cumsum([t.shape[0] for t in ts])[:-1]
+    return make_op("vstack", ts, np.concatenate([t.data for t in ts]),
+                   lambda g: tuple(np.split(g, splits)))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """The entries of a in row-major order, as a matrix of `shape`."""
+    a = _lift(a)
+    shape_in = a.shape
+    return make_op("reshape", (a,), a.data.reshape(shape),
+                   lambda g: (g.reshape(shape_in),))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Commands: train, eval, sweep-alpha, bench, distance. Every command
 accepts --config (JSON with exact TrainConfig field names), --seed
-(overrides the config seed), --threads (transport solve pool size) and
+(overrides the config seed), --threads (accepted, has no effect) and
 --out (artifact directory).
 """
 
@@ -45,7 +45,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="overrides the config seed")
     parser.add_argument("--threads", type=int,
                         default=max(1, os.cpu_count() or 1),
-                        help="transport solve pool size")
+                        help="has no effect; transport problems are "
+                             "solved as one stack")
     parser.add_argument("--out", default="out", help="artifact directory")
 
 

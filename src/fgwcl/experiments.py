@@ -28,7 +28,8 @@ log = logging.getLogger(__name__)
 def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
                 seeds: int = 5, threads: int = 1,
                 split_mode: str = "fractional") -> list[dict]:
-    """Train and probe per grid value; one row per alpha."""
+    """Train and probe per grid value; one row per alpha. `threads` has
+    no effect."""
     grid = [float(a) for a in grid]
     if not grid:
         raise ValueError("alpha grid must be non-empty")
@@ -79,8 +80,8 @@ def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
                  threads: int = 1, seed: int = 0) -> list[dict]:
     """Mean per-phase epoch times for each graph size.
 
-    Warm-up epochs (kernel compilation, allocator effects) are excluded
-    from the means.
+    Warm-up epochs (allocator effects) are excluded from the means.
+    `threads` has no effect.
     """
     if iters < 1 or warmup < 0:
         raise ValueError("need iters >= 1 and warmup >= 0")

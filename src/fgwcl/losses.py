@@ -1,24 +1,27 @@
 """Self-supervised objective: subgraph transport contrast, node-level
 InfoNCE (full and union-restricted), and the fusion gate regularizer.
 
-The transport term treats each solved plan as a constant and re-expresses
-the distance through taped cost matrices, so gradients reach the
-embeddings without differentiating through the solver iterations.
+The transport term solves every (anchor, partner) problem of a batch in
+one stacked kernel call, treats the solved plans as constants and
+re-expresses the distances through taped cost matrices built with a few
+stacked ops, so gradients reach the embeddings without differentiating
+through the solver iterations. The tape holds the same handful of ops
+however many pairs the batch has.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import KernelBackend
-from .ot import FgwConfig, bapg_fgwd, build_cost_matrices, fgw_objective
+from .kernels import STATUS_MAX_ITERS, KernelBackend
+from .ot import (FgwConfig, bapg_fgwd, bapg_fgwd_batch, build_cost_matrices,
+                 fgw_batch, fgw_objective)
 from .sampling import ContrastBatch, MeasuredSubgraph
 
 
@@ -31,33 +34,6 @@ def pair_distance(a: MeasuredSubgraph, b: MeasuredSubgraph, cfg: FgwConfig,
     return fgw_objective(costs, plan.P, cfg.alpha)
 
 
-def _pair_distances(pairs, cfg, backend, threads,
-                    plans=None) -> list[Tensor]:
-    """Distances for (a, b) pairs; the solver calls may run on a pool
-    (tensors are immutable during solves), results keep pair order.
-    Pre-solved plans skip the solver and hold the couplings fixed."""
-    costs = [build_cost_matrices(a.a_slice, b.a_slice, a.h_slice, b.h_slice,
-                                 cfg.tau) for a, b in pairs]
-    if plans is None:
-        plans = _solve_pairs(costs, pairs, cfg, backend, threads)
-    elif len(plans) != len(pairs):
-        raise ValueError(f"got {len(plans)} plans for {len(pairs)} pairs")
-    return [fgw_objective(c, plan.P, cfg.alpha)
-            for c, plan in zip(costs, plans)]
-
-
-def _solve_pairs(costs, pairs, cfg, backend, threads):
-    def solve(item):
-        c, (a, b) = item
-        return bapg_fgwd(c, a.mu, b.mu, cfg, backend)
-
-    work = list(zip(costs, pairs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, work))
-    return [solve(item) for item in work]
-
-
 def _batch_pairs(batch: ContrastBatch) -> list:
     """Flat (anchor, partner) list: each positive then its negatives."""
     pairs = []
@@ -68,55 +44,106 @@ def _batch_pairs(batch: ContrastBatch) -> list:
     return pairs
 
 
+def _stack_layout(batch: ContrastBatch):
+    """The batch's distinct views, and for the pairs in loss order the row
+    indices of anchor and partner blocks in the views stacked top to
+    bottom. Returns (views, anchor_rows, partner_rows, k)."""
+    views: list[MeasuredSubgraph] = []
+    slot: dict[int, int] = {}
+    ends = []
+    for pair in _batch_pairs(batch):
+        for view in pair:
+            if id(view) not in slot:
+                slot[id(view)] = len(views)
+                views.append(view)
+        ends.append([slot[id(view)] for view in pair])
+    k = views[0].indices.size
+    if any(v.indices.size != k for v in views):
+        raise ValueError("stacked transport needs subgraphs of one size")
+    rows = (np.array(ends)[:, :, None] * k + np.arange(k)).transpose(1, 0, 2)
+    return views, rows[0].ravel(), rows[1].ravel(), k
+
+
 def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
                       backend: Optional[KernelBackend] = None,
                       threads: int = 1) -> list:
     """Solved transport plans for every pair the batch loss uses, in the
-    order loss_ot consumes them. The plans are constants with respect to
-    the embeddings, so callers can re-evaluate the loss at perturbed
-    parameters while keeping the couplings fixed."""
-    pairs = _batch_pairs(batch)
-    costs = [build_cost_matrices(a.a_slice, b.a_slice, a.h_slice, b.h_slice,
-                                 cfg.tau) for a, b in pairs]
-    return _solve_pairs(costs, pairs, cfg, backend, threads)
+    order loss_ot consumes them, from one stacked kernel call. The plans
+    are constants with respect to the embeddings, so callers can
+    re-evaluate the loss at perturbed parameters while keeping the
+    couplings fixed. `threads` has no effect."""
+    views, rows1, rows2, k = _stack_layout(batch)
+    B = rows1.size // k
+    scale = -1.0 / cfg.tau
+    H = np.concatenate([v.h_slice.data for v in views])
+    C = np.exp(np.concatenate([v.a_slice.data for v in views]) * scale)
+    H1 = H[rows1].reshape(B, k, -1)
+    H2 = H[rows2].reshape(B, k, -1)
+    with np.errstate(over="ignore"):
+        M = np.exp((H1 @ H2.transpose(0, 2, 1)) * scale)
+    if not np.isfinite(M).all():
+        raise ArithmeticError("solve_batch_plans: exp overflow in the "
+                              "feature costs")
+    mu = np.broadcast_to(views[0].mu, (B, k))
+    return bapg_fgwd_batch(M, C[rows1].reshape(B, k, k),
+                           C[rows2].reshape(B, k, k), mu, mu, cfg, backend)
 
 
-def ot_loss_from_distances(positives: Sequence[Tensor],
-                           negatives: Sequence[Sequence[Tensor]],
-                           tau: float) -> Tensor:
-    """-1/(S(M+1)) sum_i [log sig(exp(-d_pos/tau))
-    + sum_j log(1 - sig(exp(-d_neg_j/tau)))] over S anchors."""
-    s = len(positives)
-    if s == 0 or len(negatives) != s:
-        raise ValueError("need matching positive and negative lists")
-    m = len(negatives[0])
-    if any(len(negs) != m for negs in negatives):
-        raise ValueError("every anchor needs the same number of negatives")
-    neg_inv_tau = ad.constant(-1.0 / tau)
-    one = ad.constant(1.0)
-    total = None
-    for d_pos, d_negs in zip(positives, negatives):
-        term = ad.log(ad.sigmoid(ad.exp(ad.mul(d_pos, neg_inv_tau))))
-        for d in d_negs:
-            score = ad.sigmoid(ad.exp(ad.mul(d, neg_inv_tau)))
-            term = ad.add(term, ad.log(ad.sub(one, score)))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(ad.constant(-1.0 / (s * (m + 1))), total)
+def solver_stats(plans: list) -> dict:
+    """Convergence of one batch of solves, as metrics record fields; every
+    field is None when there were no solves."""
+    if not plans:
+        return {"ot_iters_mean": None, "ot_iters_max": None,
+                "ot_capped_share": None, "ot_row_residual_max": None}
+    iters = np.array([p.iterations for p in plans])
+    capped = np.array([p.status == STATUS_MAX_ITERS for p in plans])
+    return {"ot_iters_mean": float(iters.mean()),
+            "ot_iters_max": int(iters.max()),
+            "ot_capped_share": float(capped.mean()),
+            "ot_row_residual_max": max(p.residual for p in plans)}
+
+
+def ot_loss_from_distances(distances: Tensor, tau: float) -> Tensor:
+    """-1/(S(M+1)) sum_i [log sig(exp(-d_i0/tau))
+    + sum_j log(1 - sig(exp(-d_ij/tau)))] over the rows of an (S, M+1)
+    distance matrix: column 0 holds each anchor's positive distance and
+    columns 1..M its negatives."""
+    s, cols = distances.shape
+    if s == 0 or cols == 0:
+        raise ValueError(f"need at least one anchor and one distance per "
+                         f"anchor, got shape {distances.shape}")
+    score = ad.sigmoid(ad.exp(ad.mul(distances, ad.constant(-1.0 / tau))))
+    # score for the positive column, 1 - score for the negatives
+    sign = np.full((1, cols), -1.0)
+    sign[0, 0] = 1.0
+    picked = ad.add(ad.mul(score, ad.constant(sign)),
+                    ad.constant((1.0 - sign) / 2.0))
+    return ad.mul(ad.constant(-1.0 / (s * cols)), ad.sum_all(ad.log(picked)))
 
 
 def loss_ot(batch: Optional[ContrastBatch], cfg: FgwConfig,
             backend: Optional[KernelBackend] = None,
             threads: int = 1, plans=None) -> Optional[Tensor]:
-    """Subgraph contrastive loss; None signals the caller to skip it."""
+    """Subgraph contrastive loss; None signals the caller to skip it.
+    Pre-solved plans skip the solver and hold the couplings fixed.
+    `threads` has no effect."""
     if batch is None or batch.anchors.size < 2:
         return None
+    views, rows1, rows2, k = _stack_layout(batch)
+    B = rows1.size // k
+    if plans is None:
+        plans = solve_batch_plans(batch, cfg, backend)
+    elif len(plans) != B:
+        raise ValueError(f"got {len(plans)} plans for {B} pairs")
+    scale = ad.constant(-1.0 / cfg.tau)
+    H = ad.vstack([v.h_slice for v in views])
+    C = ad.exp(ad.mul(ad.vstack([v.a_slice for v in views]), scale))
+    M = ad.exp(ad.mul(ad.block_matmul_t(ad.gather_rows(H, rows1),
+                                        ad.gather_rows(H, rows2), B), scale))
+    d = fgw_batch(M, ad.gather_rows(C, rows1), ad.gather_rows(C, rows2),
+                  np.stack([plan.P for plan in plans]), cfg.alpha)
     s = batch.anchors.size
-    pairs = _batch_pairs(batch)
-    dists = _pair_distances(pairs, cfg, backend, threads, plans)
-    per = 1 + len(batch.negatives[0])
-    positives = [dists[i * per] for i in range(s)]
-    negs = [dists[i * per + 1:(i + 1) * per] for i in range(s)]
-    return ot_loss_from_distances(positives, negs, cfg.tau)
+    return ot_loss_from_distances(ad.reshape(d, (s, B // s)), cfg.tau)
 
 
 def _nce_direction(anchors: Tensor, others: Tensor, tau: float) -> Tensor:
@@ -189,7 +216,8 @@ def loss_fusion(lam: Tensor, h_s: Tensor, h_f: Tensor, alpha: float,
 
 @dataclass
 class LossBreakdown:
-    """Scalar parts plus bookkeeping; skipped parts contribute zero."""
+    """Scalar parts plus bookkeeping; skipped parts contribute zero.
+    `solver` holds the solver_stats fields of the transport solves."""
 
     l_ot: Optional[Tensor]
     l_node: Optional[Tensor]
@@ -198,15 +226,17 @@ class LossBreakdown:
     anchors_used: int
     anchors_excluded: int
     skipped: tuple[str, ...]
+    solver: dict
 
 
 def total_loss(l_ot: Optional[Tensor], l_node: Optional[Tensor],
                l_fusion: Optional[Tensor], anchors_used: int = 0,
-               anchors_excluded: int = 0) -> LossBreakdown:
+               anchors_excluded: int = 0, plans=()) -> LossBreakdown:
     parts = {"ot": l_ot, "node": l_node, "fusion": l_fusion}
     skipped = tuple(name for name, part in parts.items() if part is None)
     live = [part for part in parts.values() if part is not None]
     total = reduce(ad.add, live) if live else ad.constant(0.0)
     return LossBreakdown(l_ot=l_ot, l_node=l_node, l_fusion=l_fusion,
                          total=total, anchors_used=anchors_used,
-                         anchors_excluded=anchors_excluded, skipped=skipped)
+                         anchors_excluded=anchors_excluded, skipped=skipped,
+                         solver=solver_stats(list(plans)))

@@ -9,10 +9,12 @@ over couplings P with row marginals mu and column marginals nu, where
 L_ijkl = (C1[i,k] - C2[j,l])^2. alpha=1 recovers the Wasserstein distance
 of M; alpha=0 the Gromov-Wasserstein distance of (C1, C2).
 
-The minimization runs through the BAPG kernels (see kernels.py); the
-returned plan is treated as a constant, and gradients reach the encoder
-only through the cost matrices in the final objective evaluation
-(envelope-style differentiation).
+The minimization runs through the BAPG kernels (see kernels.py), on one
+problem or a stack of them; the returned plan is treated as a constant,
+and gradients reach the encoder only through the cost matrices in the
+final objective evaluation (envelope-style differentiation). That
+evaluation is one fused tape op for a whole stack, with the closed-form
+gradient of the factorized objective (Peyre, Cuturi & Solomon, 2016).
 """
 
 from __future__ import annotations
@@ -101,24 +103,52 @@ def build_cost_matrices(A1, A2, H1, H2, tau: float) -> CostMatrices:
     return CostMatrices(M=M, C1=C1, C2=C2, tau=tau)
 
 
-def tensor_product_taped(C1: Tensor, C2: Tensor, P: np.ndarray) -> Tensor:
-    """Taped twin of the factorized tensor product; P is a constant."""
-    p = ad.constant(P.sum(axis=1).reshape(-1, 1))
-    q = ad.constant(P.sum(axis=0).reshape(-1, 1))
-    term_rows = ad.matmul(ad.mul(C1, C1), p)
-    term_cols = ad.matmul(ad.mul(C2, C2), q)
-    cross = ad.matmul(ad.matmul(C1, ad.constant(P)), ad.transpose(C2))
-    return ad.add(ad.add(term_rows, ad.transpose(term_cols)),
-                  ad.mul(cross, ad.constant(-2.0)))
+def fgw_value(M, C1, C2, P, alpha: float):
+    """< alpha*M + (1-alpha)*(L tensor P), P > on plain arrays, for one
+    problem or per problem of a stack."""
+    lp = tensor_product(C1, C2, P)
+    return ((alpha * M + (1.0 - alpha) * lp) * P).sum(axis=(-2, -1))
+
+
+def fgw_batch(M, C1, C2, P: np.ndarray, alpha: float) -> Tensor:
+    """Per-problem FGW objectives < alpha*M_b + (1-alpha)*(L tensor P_b), P_b >
+    of B stacked problems, as a (B, 1) tensor, with the plans P (B, n, m)
+    held constant. M stacks the (n, m) blocks M_b as a (B*n, m) matrix,
+    C1 the (n, n) blocks as (B*n, n) and C2 the (m, m) blocks as (B*m, m).
+
+    One tape op. With p = P_b 1 and q = P_b^T 1 its backward is
+    dM_b = alpha P_b, dC1_b = (1-alpha)(2 C1_b o pp^T - 2 P_b C2_b P_b^T)
+    and dC2_b = (1-alpha)(2 C2_b o qq^T - 2 P_b^T C1_b P_b).
+    """
+    M, C1, C2 = _lift(M), _lift(C1), _lift(C2)
+    P = np.asarray(P, dtype=np.float64)
+    B, n, m = P.shape
+    if (M.shape != (B * n, m) or C1.shape != (B * n, n)
+            or C2.shape != (B * m, m)):
+        raise ValueError(f"fgw_batch: cost shapes {M.shape}, {C1.shape}, "
+                         f"{C2.shape} do not stack {B} problems of {n}x{m}")
+    C13 = C1.data.reshape(B, n, n)
+    C23 = C2.data.reshape(B, m, m)
+    value = fgw_value(M.data.reshape(B, n, m), C13, C23, P, alpha)
+
+    def back(g):
+        gb = g.reshape(B, 1, 1)
+        p = P.sum(axis=2)
+        q = P.sum(axis=1)
+        Pt = P.transpose(0, 2, 1)
+        scale = 2.0 * (1.0 - alpha) * gb
+        dM = (alpha * gb) * P
+        dC1 = scale * (C13 * (p[:, :, None] * p[:, None, :]) - P @ C23 @ Pt)
+        dC2 = scale * (C23 * (q[:, :, None] * q[:, None, :]) - Pt @ C13 @ P)
+        return (dM.reshape(M.shape), dC1.reshape(C1.shape),
+                dC2.reshape(C2.shape))
+
+    return ad.make_op("fgw_batch", (M, C1, C2), value[:, None], back)
 
 
 def fgw_objective(costs: CostMatrices, P: np.ndarray, alpha: float) -> Tensor:
     """< alpha*M + (1-alpha)*(L tensor P), P > with P held constant."""
-    Pc = ad.constant(P)
-    blended = ad.add(ad.mul(costs.M, ad.constant(alpha)),
-                     ad.mul(tensor_product_taped(costs.C1, costs.C2, P),
-                            ad.constant(1.0 - alpha)))
-    return ad.sum_all(ad.mul(blended, Pc))
+    return fgw_batch(costs.M, costs.C1, costs.C2, np.asarray(P)[None], alpha)
 
 
 def initial_plan(mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig) -> np.ndarray:
@@ -126,13 +156,15 @@ def initial_plan(mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig) -> np.ndarray:
 
     The jitter breaks the symmetric stationary point the plain product
     initialization sits on when C1 = C2; init_jitter=0 keeps exactly mu nu^T.
+    Stacked marginals (B, n) and (B, m) give a (B, n, m) stack in which
+    every problem gets the jitter a solo call would give it.
     """
-    P0 = np.outer(mu, nu)
+    P0 = mu[..., :, None] * nu[..., None, :]
     if cfg.init_jitter == 0.0:
         return P0
     rng = np.random.default_rng(cfg.seed)
-    P0 = P0 * (1.0 + cfg.init_jitter * rng.random(P0.shape))
-    return P0 / P0.sum()
+    P0 = P0 * (1.0 + cfg.init_jitter * rng.random(P0.shape[-2:]))
+    return P0 / P0.sum(axis=(-2, -1), keepdims=True)
 
 
 def _check_marginal(name: str, w: np.ndarray, size: int) -> np.ndarray:
@@ -149,29 +181,43 @@ def _check_marginal(name: str, w: np.ndarray, size: int) -> np.ndarray:
 def bapg_fgwd(costs: CostMatrices, mu, nu, cfg: FgwConfig,
               backend: KernelBackend | None = None) -> TransportPlan:
     """Solve for the transport plan and evaluate the FGW objective at it."""
-    if backend is None:
-        backend = get_backend()
     M = np.ascontiguousarray(costs.M.data if isinstance(costs.M, Tensor) else costs.M)
     C1 = np.ascontiguousarray(costs.C1.data if isinstance(costs.C1, Tensor) else costs.C1)
     C2 = np.ascontiguousarray(costs.C2.data if isinstance(costs.C2, Tensor) else costs.C2)
     n, m = M.shape
     mu = _check_marginal("mu", mu, n)
     nu = _check_marginal("nu", nu, m)
-    P0 = initial_plan(mu, nu, cfg)
-    P, iters, status = backend.bapg(M, C1, C2, mu, nu, float(cfg.alpha),
-                                    float(cfg.beta), int(cfg.max_iters),
-                                    float(cfg.tol), P0,
-                                    not cfg.plain_stop)
-    if status == STATUS_NON_FINITE:
+    return bapg_fgwd_batch(M[None], C1[None], C2[None], mu[None], nu[None],
+                           cfg, backend)[0]
+
+
+def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
+                    mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig,
+                    backend: KernelBackend | None = None
+                    ) -> list[TransportPlan]:
+    """bapg_fgwd for a stack of B problems in one kernel call: M is
+    (B, n, m), C1 (B, n, n), C2 (B, m, m), mu (B, n) and nu (B, m) hold
+    valid marginals. Returns one plan per problem, in stack order."""
+    if backend is None:
+        backend = get_backend()
+    P, iters, status = backend.bapg_batch(
+        M, C1, C2, mu, nu, float(cfg.alpha), float(cfg.beta),
+        int(cfg.max_iters), float(cfg.tol), initial_plan(mu, nu, cfg),
+        not cfg.plain_stop)
+    bad = np.flatnonzero(status == STATUS_NON_FINITE)
+    if bad.size:
+        b = int(bad[0])
         raise ArithmeticError(
-            f"bapg_fgwd: non-finite plan at iteration {iters} "
-            f"(beta={cfg.beta}, alpha={cfg.alpha}); consider a larger beta")
-    lp = tensor_product(C1, C2, P)
-    objective = float(((cfg.alpha * M + (1.0 - cfg.alpha) * lp) * P).sum())
-    residual = float(np.abs(P.sum(axis=1) - mu).max())
-    return TransportPlan(P=P, mu=mu, nu=nu, objective=objective,
-                         iterations=int(iters), residual=residual,
-                         status=int(status))
+            f"bapg_fgwd: non-finite plan in problem {b} at iteration "
+            f"{iters[b]} (beta={cfg.beta}, alpha={cfg.alpha}); consider a "
+            f"larger beta")
+    objective = fgw_value(M, C1, C2, P, cfg.alpha)
+    residual = np.abs(P.sum(axis=2) - mu).max(axis=1)
+    return [TransportPlan(P=P[b], mu=mu[b], nu=nu[b],
+                          objective=float(objective[b]),
+                          iterations=int(iters[b]),
+                          residual=float(residual[b]), status=int(status[b]))
+            for b in range(P.shape[0])]
 
 
 def wd_exact_small(M: np.ndarray, mu, nu) -> float:

@@ -97,22 +97,26 @@ def epoch_plans(model: Model, gt: GraphTensors, cfg: TrainConfig,
 
     Feeding these back through run_epoch(..., plans=...) re-evaluates the
     loss with the couplings held fixed, which is the differentiated
-    function: plans are constants of the objective."""
+    function: plans are constants of the objective. `threads` has no
+    effect."""
     _, _, _, _, _, batch, _, _ = _epoch_views(model, gt, cfg, epoch)
     if batch is None:
         return []
-    return solve_batch_plans(batch, fgw, backend, threads)
+    return solve_batch_plans(batch, fgw, backend)
 
 
 def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
               fgw: FgwConfig, backend: KernelBackend, epoch: int,
               threads: int = 1, plans=None) -> tuple[LossBreakdown, dict]:
-    """Forward pass and losses for one epoch; no parameter update."""
+    """Forward pass and losses for one epoch; no parameter update.
+    `threads` has no effect."""
     h, lam, h_f, h_s, h_hat, batch, excluded, times = _epoch_views(
         model, gt, cfg, epoch)
 
     t0 = time.perf_counter()
-    l_ot = loss_ot(batch, fgw, backend, threads, plans=plans)
+    if plans is None and batch is not None:
+        plans = solve_batch_plans(batch, fgw, backend)
+    l_ot = loss_ot(batch, fgw, backend, plans=plans)
     times["ot"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -123,7 +127,7 @@ def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
     l_fusion = loss_fusion(lam, h_s, h_f, cfg.alpha, cfg.beta1, cfg.beta2)
     used = 0 if batch is None else int(batch.anchors.size)
     breakdown = total_loss(l_ot, l_node, l_fusion, anchors_used=used,
-                           anchors_excluded=excluded)
+                           anchors_excluded=excluded, plans=plans or ())
     times["node"] = time.perf_counter() - t0
     return breakdown, times
 
@@ -153,6 +157,7 @@ def _record(epoch: int, breakdown: LossBreakdown, times: dict) -> dict:
         "anchors_used": breakdown.anchors_used,
         "anchors_excluded": breakdown.anchors_excluded,
         "skipped": list(breakdown.skipped),
+        **breakdown.solver,
     }
     for phase in PHASES:
         rec[f"time_{phase}_ms"] = round(times.get(phase, 0.0) * 1e3, 4)
@@ -172,6 +177,8 @@ class TrainResult:
 
 def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
           backend: Optional[KernelBackend] = None) -> TrainResult:
+    """Train for cfg.epochs, writing metrics.jsonl, summary.json and a
+    checkpoint to out_dir. `threads` has no effect."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
@@ -189,7 +196,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
             try:
                 t_epoch = time.perf_counter()
                 breakdown, times = run_epoch(model, gt, cfg, fgw, backend,
-                                             epoch, threads)
+                                             epoch)
                 total = breakdown.total.item
                 if not np.isfinite(total):
                     raise ArithmeticError(f"total loss is {total}")

@@ -49,30 +49,29 @@ class TestOtLossFormula:
     def setup_method(self):
         ad.reset_tape()
 
-    def _const(self, v):
-        return ad.constant(np.array([[float(v)]]))
+    def _dists(self, rows):
+        """(S, M+1) distances: each row a positive, then its negatives."""
+        return ad.constant(np.array(rows, dtype=np.float64))
 
     def test_all_zero_distances_constant(self):
         for s in (1, 3, 7):
-            pos = [self._const(0.0) for _ in range(s)]
-            negs = [[self._const(0.0), self._const(0.0)] for _ in range(s)]
-            val = ot_loss_from_distances(pos, negs, tau=1.0)
+            val = ot_loss_from_distances(self._dists(np.zeros((s, 3))),
+                                         tau=1.0)
             assert_allclose(val.item, ZERO_DIST_TERM / 3.0, rtol=1e-12)
 
     def test_infinite_positive_distance_gives_log_half(self):
-        val = ot_loss_from_distances([self._const(1e6)], [[]], tau=1.0)
+        val = ot_loss_from_distances(self._dists([[1e6]]), tau=1.0)
         assert_allclose(val.item, -np.log(0.5), rtol=1e-12)
 
     def test_decreasing_positive_distance_decreases_loss(self):
-        negs = [[self._const(0.3), self._const(0.7)]]
-        values = [ot_loss_from_distances([self._const(d)], negs, 1.0).item
+        values = [ot_loss_from_distances(self._dists([[d, 0.3, 0.7]]),
+                                         1.0).item
                   for d in (2.0, 1.0, 0.5, 0.1)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_increasing_negative_distance_decreases_loss(self):
-        values = [ot_loss_from_distances(
-            [self._const(0.5)], [[self._const(d), self._const(d)]],
-            1.0).item for d in (0.1, 0.5, 2.0)]
+        values = [ot_loss_from_distances(self._dists([[0.5, d, d]]),
+                                         1.0).item for d in (0.1, 0.5, 2.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_manual_two_anchor_value(self):
@@ -87,18 +86,15 @@ class TestOtLossFormula:
                  + np.log(1 - sig(np.exp(-d["n21"] / tau)))
                  + np.log(1 - sig(np.exp(-d["n22"] / tau)))) / 6.0
         got = ot_loss_from_distances(
-            [self._const(d["p1"]), self._const(d["p2"])],
-            [[self._const(d["n11"]), self._const(d["n12"])],
-             [self._const(d["n21"]), self._const(d["n22"])]], tau)
+            self._dists([[d["p1"], d["n11"], d["n12"]],
+                         [d["p2"], d["n21"], d["n22"]]]), tau)
         assert_allclose(got.item, want, rtol=1e-12)
 
     def test_mismatched_lists_rejected(self):
-        with pytest.raises(ValueError, match="matching"):
-            ot_loss_from_distances([self._const(1.0)], [], 1.0)
-        with pytest.raises(ValueError, match="same number"):
-            ot_loss_from_distances(
-                [self._const(1.0), self._const(1.0)],
-                [[self._const(1.0)], []], 1.0)
+        with pytest.raises(ValueError, match="at least one anchor"):
+            ot_loss_from_distances(self._dists(np.zeros((0, 3))), 1.0)
+        with pytest.raises(ValueError, match="at least one anchor"):
+            ot_loss_from_distances(self._dists(np.zeros((2, 0))), 1.0)
 
 
 class TestOtLossBatch:
@@ -128,16 +124,21 @@ class TestOtLossBatch:
         assert batch is None
         assert loss_ot(batch, FgwConfig(alpha=0.5)) is None
 
-    def test_threading_matches_sequential(self, rng):
-        g, gt, model = small_setup(rng)
-        out = model.forward(gt)
-        batch, _ = sample_contrast_batch(g, out.h, out.h_hat, k=4,
-                                         num_anchors=4, num_negatives=2,
-                                         seed=3)
+    def test_tape_op_count_does_not_grow_with_anchors(self, rng):
+        g, gt, model = small_setup(rng, n=30)
         cfg = FgwConfig(alpha=0.3, beta=5.0, max_iters=15, tol=1e-8)
-        v1 = loss_ot(batch, cfg, threads=1).item
-        v4 = loss_ot(batch, cfg, threads=4).item
-        assert_allclose(v4, v1, rtol=1e-12)
+        counts = []
+        for anchors in (3, 6):
+            ad.reset_tape()
+            out = model.forward(gt)
+            batch, _ = sample_contrast_batch(g, out.h, out.h_hat, k=4,
+                                             num_anchors=anchors,
+                                             num_negatives=2, seed=3)
+            assert batch.anchors.size == anchors
+            before = len(ad.active_tape())
+            loss_ot(batch, cfg)
+            counts.append(len(ad.active_tape()) - before)
+        assert counts[0] == counts[1]
 
     def test_presolved_plans_reproduce_the_loss(self, rng):
         g, gt, model = small_setup(rng)

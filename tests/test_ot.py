@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from fgwcl import autodiff as ad
 from fgwcl import ot
-from fgwcl.kernels import STATUS_CONVERGED, STATUS_MAX_ITERS
+from fgwcl.kernels import (STATUS_CONVERGED, STATUS_MAX_ITERS,
+                           STATUS_NON_FINITE, bapg_batch_numpy, get_backend)
 from conftest import check_grad
 
 
@@ -25,6 +26,27 @@ def naive_tensor_product(C1, C2, P):
                     acc += (C1[i, k] - C2[j, l]) ** 2 * P[k, l]
             out[i, j] = acc
     return out
+
+
+def taped_reference(costs, P, alpha):
+    """The FGW objective at a fixed plan from plain tape ops, with the
+    factorized tensor product written out; the reference for fgw_batch."""
+    p = ad.constant(P.sum(axis=1).reshape(-1, 1))
+    q = ad.constant(P.sum(axis=0).reshape(-1, 1))
+    term_rows = ad.matmul(ad.mul(costs.C1, costs.C1), p)
+    term_cols = ad.matmul(ad.mul(costs.C2, costs.C2), q)
+    cross = ad.matmul(ad.matmul(costs.C1, ad.constant(P)),
+                      ad.transpose(costs.C2))
+    lp = ad.add(ad.add(term_rows, ad.transpose(term_cols)),
+                ad.mul(cross, ad.constant(-2.0)))
+    blended = ad.add(ad.mul(costs.M, ad.constant(alpha)),
+                     ad.mul(lp, ad.constant(1.0 - alpha)))
+    return ad.sum_all(ad.mul(blended, ad.constant(P)))
+
+
+def random_plans(rng, b, n, m):
+    P = rng.random((b, n, m))
+    return P / P.sum(axis=(1, 2), keepdims=True)
 
 
 def random_costs(rng, n, m, tau=1.0):
@@ -81,22 +103,74 @@ class TestTensorProduct:
         assert_allclose(ot.tensor_product(C1, C2, np.zeros((3, 4))), 0.0)
 
     def test_taped_matches_raw(self, rng):
-        C1 = rng.random((4, 4))
-        C2 = rng.random((3, 3))
-        P = rng.random((4, 3))
-        P /= P.sum()
-        taped = ot.tensor_product_taped(ad.Tensor(C1), ad.Tensor(C2), P)
-        assert_allclose(taped.data, naive_tensor_product(C1, C2, P), atol=1e-12)
+        # fgw_batch per problem against the quadruple loop and against the
+        # same objective from plain tape ops
+        b, n, m, alpha = 3, 4, 3, 0.3
+        M = rng.random((b, n, m))
+        C1 = rng.random((b, n, n))
+        C2 = rng.random((b, m, m))
+        P = random_plans(rng, b, n, m)
+        fused = ot.fgw_batch(M.reshape(-1, m), C1.reshape(-1, n),
+                             C2.reshape(-1, m), P, alpha)
+        assert fused.shape == (b, 1)
+        for i in range(b):
+            naive = ((alpha * M[i] + (1.0 - alpha)
+                      * naive_tensor_product(C1[i], C2[i], P[i])) * P[i]).sum()
+            costs = ot.CostMatrices(M=ad.Tensor(M[i]), C1=ad.Tensor(C1[i]),
+                                    C2=ad.Tensor(C2[i]), tau=1.0)
+            plain = taped_reference(costs, P[i], alpha).item
+            assert_allclose(fused.data[i, 0], naive, rtol=1e-12, atol=1e-12)
+            assert_allclose(fused.data[i, 0], plain, rtol=1e-12, atol=1e-12)
 
     def test_taped_gradients(self, rng):
-        P = rng.random((3, 4))
-        P /= P.sum()
-        weight = rng.standard_normal((3, 4))
-        params = {"C1": rng.random((3, 3)), "C2": rng.random((4, 4))}
-        check_grad(lambda p: ad.sum_all(ad.mul(
-            ot.tensor_product_taped(p["C1"], p["C2"], P),
-            ad.constant(weight))),
-            params)
+        # a weighted sum over a stack of problems, with costs built from
+        # stacked embeddings and similarity matrices the way the loss
+        # builds them; the gradients reaching H1, H2 and A2 must equal
+        # those of the plain-op objective summed problem by problem
+        b, n, m, d, alpha, tau = 3, 3, 4, 5, 0.4, 1.3
+        P = random_plans(rng, b, n, m)
+        weight = rng.standard_normal((b, 1))
+        A1 = rng.random((b * n, n))
+        params = {"H1": rng.standard_normal((b * n, d)),
+                  "H2": rng.standard_normal((b * m, d)),
+                  "A2": rng.random((b * m, m))}
+
+        def gradients(objective):
+            ad.reset_tape()
+            leaves = {k: ad.Tensor(v, requires_grad=True)
+                      for k, v in params.items()}
+            value = objective(leaves)
+            ad.backward(value)
+            return value.item, {k: t.grad for k, t in leaves.items()}
+
+        def fused(p):
+            scale = ad.constant(-1.0 / tau)
+            M = ad.exp(ad.mul(ad.block_matmul_t(p["H1"], p["H2"], b), scale))
+            C1 = ad.exp(ad.mul(ad.constant(A1), scale))
+            C2 = ad.exp(ad.mul(p["A2"], scale))
+            return ad.sum_all(ad.mul(ot.fgw_batch(M, C1, C2, P, alpha),
+                                     ad.constant(weight)))
+
+        def plain(p):
+            total = ad.constant(0.0)
+            for i in range(b):
+                rows1 = np.arange(i * n, (i + 1) * n)
+                rows2 = np.arange(i * m, (i + 1) * m)
+                costs = ot.build_cost_matrices(
+                    A1[rows1], ad.gather_rows(p["A2"], rows2),
+                    ad.gather_rows(p["H1"], rows1),
+                    ad.gather_rows(p["H2"], rows2), tau)
+                term = ad.mul(taped_reference(costs, P[i], alpha),
+                              ad.constant(weight[i, 0]))
+                total = ad.add(total, term)
+            return total
+
+        value, grads = gradients(fused)
+        want_value, want = gradients(plain)
+        assert_allclose(value, want_value, rtol=1e-12)
+        for name in params:
+            assert_allclose(grads[name], want[name], rtol=1e-12, atol=1e-12,
+                            err_msg=name)
 
 
 class TestCostMatrices:
@@ -299,6 +373,59 @@ class TestBapg:
         assert np.array_equal(a, b)
         assert a.sum() == pytest.approx(1.0)
         assert not np.array_equal(a, np.outer(uniform(3), uniform(4)))
+
+
+class TestBapgBatch:
+    def _stack(self, rng, b, n, m):
+        costs = [bounded_costs(rng, n, m) for _ in range(b)]
+        M, C1, C2 = (np.stack([getattr(c, f).data for c in costs])
+                     for f in ("M", "C1", "C2"))
+        mu = np.tile(uniform(n), (b, 1))
+        nu = np.tile(uniform(m), (b, 1))
+        return M, C1, C2, mu, nu
+
+    def test_batch_matches_solo_solves(self, rng):
+        n, m = 4, 5
+        M, C1, C2, mu, nu = self._stack(rng, 6, n, m)
+        cfg = ot.FgwConfig(alpha=0.4, beta=1.0, max_iters=250, tol=1e-6,
+                           plain_stop=True)
+        P0 = ot.initial_plan(mu, nu, cfg)
+        args = (cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol)
+        P, iters, status = bapg_batch_numpy(M, C1, C2, mu, nu, *args, P0,
+                                            False)
+        # problems stop at different iterations, some at the cap
+        assert len(set(iters.tolist())) > 2
+        assert STATUS_MAX_ITERS in status and STATUS_CONVERGED in status
+        for i in range(len(M)):
+            solo, it, code = bapg_batch_numpy(
+                M[i:i + 1], C1[i:i + 1], C2[i:i + 1], mu[i:i + 1],
+                nu[i:i + 1], *args, P0[i:i + 1], False)
+            assert_allclose(P[i], solo[0], rtol=0, atol=1e-12)
+            assert (iters[i], status[i]) == (it[0], code[0])
+
+    def test_overflow_in_batch_raises_with_iteration(self, rng):
+        M, C1, C2, mu, nu = self._stack(rng, 3, 3, 3)
+        M[1] = np.inf
+        cfg = ot.FgwConfig(alpha=0.5, max_iters=20)
+        P, iters, status = bapg_batch_numpy(
+            M, C1, C2, mu, nu, cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
+            ot.initial_plan(mu, nu, cfg), True)
+        assert status.tolist() == [STATUS_MAX_ITERS, STATUS_NON_FINITE,
+                                   STATUS_MAX_ITERS]
+        assert iters[1] == 1
+        assert np.isfinite(P[[0, 2]]).all()
+        with pytest.raises(ArithmeticError, match="problem 1 at iteration 1"):
+            ot.bapg_fgwd_batch(M, C1, C2, mu, nu, cfg)
+
+    def test_two_dimensional_call_returns_scalars(self, rng):
+        costs = bounded_costs(rng, 3, 4)
+        P, iters, status = get_backend().bapg(
+            costs.M.data, costs.C1.data, costs.C2.data, uniform(3),
+            uniform(4), 0.5, 5.0, 7, 1e-9, np.outer(uniform(3), uniform(4)),
+            True)
+        assert P.shape == (3, 4)
+        assert type(iters) is int and type(status) is int
+        assert (iters, status) == (7, STATUS_MAX_ITERS)
 
 
 class TestObjectiveTape:

@@ -108,12 +108,19 @@ class TestTrainLoop:
             gc.enable()
         assert held == []
 
-    def test_threads_do_not_change_losses(self, tmp_path):
-        g = tiny_graph()
-        r1 = train(tiny_config(), g, tmp_path / "a", threads=1)
-        r2 = train(tiny_config(), g, tmp_path / "b", threads=4)
-        for m1, m2 in zip(r1.records, r2.records):
-            assert_allclose(m1["total"], m2["total"], rtol=1e-12)
+    def test_solver_telemetry_in_every_record(self, tmp_path):
+        cfg = tiny_config()
+        result = train(cfg, tiny_graph(), tmp_path / "run")
+        summary = json.loads(result.summary_path.read_text())
+        lines = result.metrics_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(records) == cfg.epochs
+        for rec in records + [summary["final"]]:
+            assert 1.0 <= rec["ot_iters_mean"] <= rec["ot_iters_max"]
+            assert isinstance(rec["ot_iters_max"], int)
+            assert rec["ot_iters_max"] <= cfg.bapg_iters
+            assert 0.0 <= rec["ot_capped_share"] <= 1.0
+            assert 0.0 <= rec["ot_row_residual_max"] <= 1.0
 
 
 class TestHelpers:
