@@ -110,6 +110,8 @@ _INT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)
                if f.type == "int"}
 _BOOL_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)
                 if f.type == "bool"}
+_FLOAT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)
+                 if f.type == "float"}
 
 
 def parse_config(raw: dict) -> TrainConfig:
@@ -129,6 +131,10 @@ def parse_config(raw: dict) -> TrainConfig:
                 else:
                     raise ValueError(f"config key {key!r} must be an "
                                      f"integer, got {value!r}")
+        elif key in _FLOAT_FIELDS and (isinstance(value, bool) or
+                                       not isinstance(value, (int, float))):
+            raise ValueError(f"config key {key!r} must be a number, "
+                             f"got {value!r}")
         coerced[key] = value
     return TrainConfig(**coerced)
 

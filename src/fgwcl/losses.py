@@ -1,12 +1,13 @@
 """Self-supervised objective: subgraph transport contrast, node-level
 InfoNCE (full and union-restricted), and the fusion gate regularizer.
 
-The transport term solves every (anchor, partner) problem of a batch in
-one stacked kernel call, treats the solved plans as constants and
-re-expresses the distances through taped cost matrices built with a few
-stacked ops, so gradients reach the embeddings without differentiating
-through the solver iterations. The tape holds the same handful of ops
-however many pairs the batch has.
+The transport term reads the batch's views stacked by view id and its
+pair-row layout, solves every (anchor, partner) problem in one stacked
+kernel call, treats the solved plans as constants and re-expresses the
+distances through taped cost matrices built from those stacks, so
+gradients reach the embeddings without differentiating through the
+solver iterations. The tape holds the same handful of ops however many
+anchors and pairs the batch has.
 """
 
 from __future__ import annotations
@@ -20,48 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .kernels import STATUS_MAX_ITERS, KernelBackend
-from .ot import (FgwConfig, bapg_fgwd, bapg_fgwd_batch, build_cost_matrices,
-                 fgw_batch, fgw_objective)
-from .sampling import ContrastBatch, MeasuredSubgraph
-
-
-def pair_distance(a: MeasuredSubgraph, b: MeasuredSubgraph, cfg: FgwConfig,
-                  backend: Optional[KernelBackend] = None) -> Tensor:
-    """Taped transport distance between two measured subgraphs."""
-    costs = build_cost_matrices(a.a_slice, b.a_slice, a.h_slice, b.h_slice,
-                                cfg.tau)
-    plan = bapg_fgwd(costs, a.mu, b.mu, cfg, backend)
-    return fgw_objective(costs, plan.P, cfg.alpha)
-
-
-def _batch_pairs(batch: ContrastBatch) -> list:
-    """Flat (anchor, partner) list: each positive then its negatives."""
-    pairs = []
-    for i in range(batch.anchors.size):
-        pairs.append((batch.originals[i], batch.perturbed[i]))
-        for neg in batch.negatives[i]:
-            pairs.append((batch.originals[i], neg))
-    return pairs
-
-
-def _stack_layout(batch: ContrastBatch):
-    """The batch's distinct views, and for the pairs in loss order the row
-    indices of anchor and partner blocks in the views stacked top to
-    bottom. Returns (views, anchor_rows, partner_rows, k)."""
-    views: list[MeasuredSubgraph] = []
-    slot: dict[int, int] = {}
-    ends = []
-    for pair in _batch_pairs(batch):
-        for view in pair:
-            if id(view) not in slot:
-                slot[id(view)] = len(views)
-                views.append(view)
-        ends.append([slot[id(view)] for view in pair])
-    k = views[0].indices.size
-    if any(v.indices.size != k for v in views):
-        raise ValueError("stacked transport needs subgraphs of one size")
-    rows = (np.array(ends)[:, :, None] * k + np.arange(k)).transpose(1, 0, 2)
-    return views, rows[0].ravel(), rows[1].ravel(), k
+from .ot import FgwConfig, bapg_fgwd_batch, fgw_batch
+from .sampling import ContrastBatch
 
 
 def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
@@ -72,11 +33,11 @@ def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
     are constants with respect to the embeddings, so callers can
     re-evaluate the loss at perturbed parameters while keeping the
     couplings fixed. `threads` has no effect."""
-    views, rows1, rows2, k = _stack_layout(batch)
-    B = rows1.size // k
+    rows1, rows2 = batch.pair_rows()
+    B, k = batch.partner_views.size, batch.index.shape[1]
     scale = -1.0 / cfg.tau
-    H = np.concatenate([v.h_slice.data for v in views])
-    C = np.exp(np.concatenate([v.a_slice.data for v in views]) * scale)
+    H, A = (t.data for t in batch.views(taped=False))
+    C = np.exp(A * scale)
     H1 = H[rows1].reshape(B, k, -1)
     H2 = H[rows2].reshape(B, k, -1)
     with np.errstate(over="ignore"):
@@ -84,7 +45,7 @@ def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
     if not np.isfinite(M).all():
         raise ArithmeticError("solve_batch_plans: exp overflow in the "
                               "feature costs")
-    mu = np.broadcast_to(views[0].mu, (B, k))
+    mu = np.full((B, k), 1.0 / k)
     return bapg_fgwd_batch(M, C[rows1].reshape(B, k, k),
                            C[rows2].reshape(B, k, k), mu, mu, cfg, backend)
 
@@ -129,21 +90,21 @@ def loss_ot(batch: Optional[ContrastBatch], cfg: FgwConfig,
     `threads` has no effect."""
     if batch is None or batch.anchors.size < 2:
         return None
-    views, rows1, rows2, k = _stack_layout(batch)
-    B = rows1.size // k
+    rows1, rows2 = batch.pair_rows()
+    B = batch.partner_views.size
     if plans is None:
         plans = solve_batch_plans(batch, cfg, backend)
     elif len(plans) != B:
         raise ValueError(f"got {len(plans)} plans for {B} pairs")
     scale = ad.constant(-1.0 / cfg.tau)
-    H = ad.vstack([v.h_slice for v in views])
-    C = ad.exp(ad.mul(ad.vstack([v.a_slice for v in views]), scale))
+    H, A = batch.views()
+    C = ad.exp(ad.mul(A, scale))
     M = ad.exp(ad.mul(ad.block_matmul_t(ad.gather_rows(H, rows1),
                                         ad.gather_rows(H, rows2), B), scale))
     d = fgw_batch(M, ad.gather_rows(C, rows1), ad.gather_rows(C, rows2),
                   np.stack([plan.P for plan in plans]), cfg.alpha)
-    s = batch.anchors.size
-    return ot_loss_from_distances(ad.reshape(d, (s, B // s)), cfg.tau)
+    return ot_loss_from_distances(ad.reshape(d, batch.partner_views.shape),
+                                  cfg.tau)
 
 
 def _nce_direction(anchors: Tensor, others: Tensor, tau: float) -> Tensor:
@@ -182,16 +143,11 @@ def loss_node_v2(h: Tensor, h_hat: Tensor, union_indices,
 
 
 def batch_indices(batch: Optional[ContrastBatch]) -> np.ndarray:
-    """Concatenated node ids of all subgraphs in the batch, in anchor
-    order, duplicates kept (the restricted node loss uses this)."""
-    if batch is None or not batch.originals:
+    """Node ids of all subgraphs in the batch, in anchor order, duplicates
+    kept (the restricted node loss uses this)."""
+    if batch is None:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate([v.indices for v in batch.originals])
-
-
-def batch_union(batch: Optional[ContrastBatch]) -> np.ndarray:
-    """Sorted unique node ids covered by the batch (reporting helper)."""
-    return np.unique(batch_indices(batch))
+    return batch.index.ravel()
 
 
 def rowwise_cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -5,8 +5,9 @@ sigma(A_norm Z W) per layer with one shared projection W. Layer 1 fuses
 its channels (through a hidden-width fusion MLP) before feeding layer 2;
 the final layer stays channel-separate so the generator can perturb each
 channel on its own support. A single graph-attention layer serves as the
-generator for both channels: identity support scales each node's own
-features, the normalized-adjacency support reweights graph neighbors.
+generator for both channels: on the feature channel each node attends
+to itself alone, which reduces to the layer's projection, and on the
+structure channel the normalized-adjacency support reweights neighbors.
 Fusion computes a per-node gate lambda_i = psi([h_f_i, h_s_i, score_i])
 in [0, 1] and returns H = H_f + lambda * H_s; one psi instance is shared
 by the encoder-side and generator-side fusions.
@@ -45,7 +46,6 @@ class GraphTensors:
     graph: Graph
     x: Tensor
     adj_norm: sp.csr_matrix
-    identity_support: GraphSupport
     struct_support: GraphSupport
     scores: Tensor
     degrees: np.ndarray
@@ -63,7 +63,6 @@ def prepare_graph(g: Graph, degree_feature: str = "raw",
         graph=g,
         x=ad.constant(x),
         adj_norm=adj_norm,
-        identity_support=GraphSupport.identity(g.n),
         struct_support=GraphSupport.from_sparse(adj_norm,
                                                add_self_loops=True),
         scores=ad.constant(scores),
@@ -198,10 +197,10 @@ class Model:
 
     def generate(self, gt: GraphTensors, h_f: Tensor, h_s: Tensor
                  ) -> tuple[Tensor, Tensor]:
-        """Perturbed channels from one shared attention layer."""
+        """Perturbed channels from one shared attention layer; attention
+        over a node alone is 1, so the feature channel is a projection."""
         p = self.params
-        h_hat_f = gat_layer(h_f, p["gat_w"], p["gat_a_src"], p["gat_a_dst"],
-                            gt.identity_support, leaky_slope=LEAKY_SLOPE)
+        h_hat_f = ad.matmul(h_f, p["gat_w"])
         h_hat_s = gat_layer(h_s, p["gat_w"], p["gat_a_src"], p["gat_a_dst"],
                             gt.struct_support, leaky_slope=LEAKY_SLOPE)
         return h_hat_f, h_hat_s

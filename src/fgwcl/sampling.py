@@ -1,9 +1,11 @@
 """Anchor and subgraph sampling for the contrastive objective.
 
-Each anchor node yields a measured subgraph of exactly k nodes found by
+Each anchor node yields a subgraph of exactly k nodes found by
 breadth-first traversal inside its 2-hop ball; anchors whose ball is too
-small are excluded. Every view carries the uniform distribution over its
-nodes, so transport problems between views are balanced.
+small are excluded. A contrast batch is a set of index arrays: the node
+sets, the stack of their induced adjacencies, and for each anchor the
+views it is contrasted with. Every view carries the uniform distribution
+over its nodes, so transport problems between views are balanced.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 
 log = logging.getLogger(__name__)
 
@@ -76,112 +79,143 @@ def bfs_sample(g: Graph, anchor: int, k: int,
 
 @dataclass
 class MeasuredSubgraph:
-    """Node set with its adjacency view, embedding rows and uniform mass."""
+    """One view as constants: node set, adjacency view, embedding rows and
+    uniform mass."""
 
     indices: np.ndarray
     a_slice: Tensor
     h_slice: Tensor
     mu: np.ndarray
 
-    def __post_init__(self):
-        k = self.indices.size
-        if self.a_slice.shape != (k, k) or self.h_slice.shape[0] != k:
-            raise ValueError("view shapes do not match the index set")
-        if abs(self.mu.sum() - 1.0) > 1e-9 or np.ptp(self.mu) > 1e-12:
-            raise ValueError("mass must be uniform and sum to 1")
+
+def _induced_stack(adj: sp.csr_matrix, index: np.ndarray) -> np.ndarray:
+    """Dense adjacency slices A[S_i; S_i] for the rows S_i of an (A, k)
+    index matrix, as an (A, k, k) stack, from one CSR row slice.
+
+    Each stored entry of the sliced rows finds its column's position in
+    its own node set by one searchsorted over the sorted node sets, each
+    offset by its row number times N so that they sort as one array."""
+    a, k = index.shape
+    n = adj.shape[1]
+    sub = adj[index.ravel()]
+    rows = np.repeat(np.arange(a * k), np.diff(sub.indptr))
+    block = rows // k
+    order = np.argsort(index, axis=1)
+    keys = (np.take_along_axis(index, order, axis=1)
+            + np.arange(a)[:, None] * n).ravel()
+    wanted = sub.indices + block * n
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    hit = keys[pos] == wanted
+    out = np.zeros((a, k, k))
+    out[block[hit], rows[hit] % k, order.ravel()[pos[hit]]] = sub.data[hit]
+    return out
 
 
-def build_views(indices: np.ndarray, adjacency, h: Tensor,
-                h_hat: Tensor) -> tuple[MeasuredSubgraph, MeasuredSubgraph]:
-    """Original view (binary adjacency slice, H rows) and perturbed view
-    (pairwise cosine similarities of the perturbed rows with a zero
-    diagonal, H-hat rows). Embedding slices stay on the tape."""
-    k = indices.size
-    mu = np.full(k, 1.0 / k)
-    a = ad.constant(induced_subgraph(adjacency, indices))
-    h_rows = ad.gather_rows(h, indices)
-    original = MeasuredSubgraph(indices=indices, a_slice=a, h_slice=h_rows,
-                                mu=mu)
-    h_hat_rows = ad.gather_rows(h_hat, indices)
-    cos = ad.cosine_matrix(h_hat_rows, h_hat_rows)
-    off_diag = ad.constant(1.0 - np.eye(k))
-    a_hat = ad.mul(cos, off_diag)
-    perturbed = MeasuredSubgraph(indices=indices, a_slice=a_hat,
-                                 h_slice=h_hat_rows, mu=mu)
-    return original, perturbed
-
-
-@dataclass
+@dataclass(frozen=True)
 class ContrastBatch:
-    """Usable anchors with their positive view pairs and negative views.
+    """Usable anchors, their node sets, and the views each one contrasts.
 
-    negatives[i] lists M subgraphs drawn from other anchors' views: the
-    drawn partner j contributes its original and perturbed views in turn.
+    The batch has 2A views: view v < A is anchor v's original subgraph
+    (adjacency slice, H rows) and view A + v its perturbed one (cosine
+    similarities of the H-hat rows with a zero diagonal, H-hat rows).
+    Row i of `partner_views` lists the views anchor i's original is
+    compared with: its own perturbed view first, then M negatives, each
+    drawn partner j contributing its original and perturbed view in turn.
     """
 
-    anchors: np.ndarray
-    originals: list[MeasuredSubgraph]
-    perturbed: list[MeasuredSubgraph]
-    negatives: list[list[MeasuredSubgraph]]
-    seed: int
+    anchors: np.ndarray  # (A,)
+    index: np.ndarray  # (A, k) node sets, anchor first
+    partner_views: np.ndarray  # (A, M + 1) view ids
+    adjacency: np.ndarray  # (A, k, k) induced subgraphs
+    h: Tensor
+    h_hat: Tensor
 
+    def pair_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """For the (anchor, partner) pairs in loss order (row-major over
+        `partner_views`), the rows of the anchor and of the partner
+        blocks in the views stacked by view id."""
+        a, cols = self.partner_views.shape
+        k = self.index.shape[1]
+        block = np.arange(k)
+        first = np.repeat(np.arange(a), cols)
+        return ((first[:, None] * k + block).ravel(),
+                (self.partner_views.reshape(-1, 1) * k + block).ravel())
 
-def assign_negatives(anchors: np.ndarray, originals: list[MeasuredSubgraph],
-                     perturbed: list[MeasuredSubgraph], num_negatives: int,
-                     seed: int) -> Optional[ContrastBatch]:
-    """Draw contrast partners j != i for each usable anchor.
+    def views(self, taped: bool = True) -> tuple[Tensor, Tensor]:
+        """All 2A views stacked by view id: embedding rows (2Ak, d) and
+        adjacency (2Ak, k). One gather per embedding and one block cosine
+        for every perturbed adjacency; taped=False computes the same
+        values from constants and records nothing."""
+        h, h_hat = self.h, self.h_hat
+        if not taped:
+            h, h_hat = ad.constant(h.data), ad.constant(h_hat.data)
+        a, k = self.index.shape
+        rows = self.index.ravel()
+        h_hat_rows = ad.gather_rows(h_hat, rows)
+        unit = ad.l2_normalize_rows(h_hat_rows)
+        off_diag = ad.constant(np.tile(1.0 - np.eye(k), (a, 1)))
+        a_hat = ad.mul(ad.block_matmul_t(unit, unit, a), off_diag)
+        return (ad.vstack([ad.gather_rows(h, rows), h_hat_rows]),
+                ad.vstack([ad.constant(self.adjacency.reshape(-1, k)),
+                           a_hat]))
 
-    Returns None (the caller skips the subgraph loss this step) when
-    fewer than 2 usable anchors remain.
-    """
-    count = len(originals)
-    if count != len(perturbed) or count != anchors.size:
-        raise ValueError("anchors and view lists disagree in length")
-    if count < 2:
-        log.warning("only %d usable anchors; skipping the subgraph loss",
-                    count)
-        return None
-    if num_negatives < 1:
-        raise ValueError(f"need at least 1 negative, got {num_negatives}")
-    rng = np.random.default_rng(seed)
-    negatives: list[list[MeasuredSubgraph]] = []
-    partners_needed = (num_negatives + 1) // 2
-    for i in range(count):
-        pool = [j for j in range(count) if j != i]
-        js = rng.choice(len(pool), size=partners_needed, replace=True)
-        negs: list[MeasuredSubgraph] = []
-        for jj in js:
-            j = pool[int(jj)]
-            negs.append(originals[j])
-            negs.append(perturbed[j])
-        negatives.append(negs[:num_negatives])
-    return ContrastBatch(anchors=anchors, originals=originals,
-                         perturbed=perturbed, negatives=negatives, seed=seed)
+    def _measured(self) -> list[MeasuredSubgraph]:
+        """The 2A views one by one, by view id (for inspection)."""
+        a, k = self.index.shape
+        h, adj = (t.data.reshape(2 * a, k, -1)
+                  for t in self.views(taped=False))
+        mu = np.full(k, 1.0 / k)
+        return [MeasuredSubgraph(self.index[v % a], ad.constant(adj[v]),
+                                 ad.constant(h[v]), mu)
+                for v in range(2 * a)]
+
+    @property
+    def originals(self) -> list[MeasuredSubgraph]:
+        return self._measured()[:self.anchors.size]
+
+    @property
+    def perturbed(self) -> list[MeasuredSubgraph]:
+        return self._measured()[self.anchors.size:]
+
+    @property
+    def negatives(self) -> list[list[MeasuredSubgraph]]:
+        views = self._measured()
+        return [[views[v] for v in row[1:]] for row in self.partner_views]
 
 
 def sample_contrast_batch(g: Graph, h: Tensor, h_hat: Tensor, k: int,
                           num_anchors: int, num_negatives: int, seed: int,
                           shuffle_frontier: bool = False
                           ) -> tuple[Optional[ContrastBatch], int]:
-    """Anchors -> BFS index sets -> views -> negatives, in one pass.
+    """Anchors -> BFS node sets -> contrast partners, in one pass.
 
-    Returns (batch or None, number of excluded anchors).
+    Returns (batch or None, number of excluded anchors); the batch is
+    None (the caller skips the subgraph loss this step) when fewer than 2
+    usable anchors remain.
     """
     anchor_ids = sample_anchors(g, num_anchors, seed)
     rng = np.random.default_rng(seed + 1) if shuffle_frontier else None
-    usable = []
-    originals = []
-    perturbed = []
-    excluded = 0
-    for anchor in anchor_ids:
-        idx = bfs_sample(g, int(anchor), k, rng=rng)
-        if idx is None:
-            excluded += 1
-            continue
-        orig, pert = build_views(idx, g.adjacency, h, h_hat)
-        usable.append(int(anchor))
-        originals.append(orig)
-        perturbed.append(pert)
-    batch = assign_negatives(np.asarray(usable, dtype=np.int64), originals,
-                             perturbed, num_negatives, seed)
-    return batch, excluded
+    sets = [bfs_sample(g, int(anchor), k, rng=rng) for anchor in anchor_ids]
+    usable = [i for i, s in enumerate(sets) if s is not None]
+    excluded = len(sets) - len(usable)
+    count = len(usable)
+    if count < 2:
+        log.warning("only %d usable anchors; skipping the subgraph loss",
+                    count)
+        return None, excluded
+    if num_negatives < 1:
+        raise ValueError(f"need at least 1 negative, got {num_negatives}")
+    draws = np.random.default_rng(seed)
+    partners_needed = (num_negatives + 1) // 2
+    partner_views = np.empty((count, num_negatives + 1), dtype=np.int64)
+    partner_views[:, 0] = count + np.arange(count)
+    for i in range(count):
+        jj = draws.choice(count - 1, size=partners_needed)
+        j = jj + (jj >= i)
+        partner_views[i, 1:] = np.stack([j, count + j], axis=1).ravel()[
+            :num_negatives]
+    index = np.stack([sets[i] for i in usable])
+    return ContrastBatch(anchors=anchor_ids[usable], index=index,
+                         partner_views=partner_views,
+                         adjacency=_induced_stack(g.adjacency, index),
+                         h=h, h_hat=h_hat), excluded

@@ -68,6 +68,15 @@ class TestTrain:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_non_numeric_config_value_fails(self, tmp_path, graph_files,
+                                            capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"lr": "0.1"}))
+        rc = cli.main(["train", "--config", str(bad), "--out",
+                       str(tmp_path / "out")] + graph_args(graph_files))
+        assert rc == 1
+        assert "'lr' must be a number" in capsys.readouterr().err
+
     def test_missing_graph_file_fails(self, tmp_path, graph_files, capsys):
         rc = cli.main(["train", "--out", str(tmp_path), "--edges",
                        str(tmp_path / "absent.txt"), "--features",

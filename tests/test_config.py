@@ -59,6 +59,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="boolean"):
             parse_config({"normalize_features": 1})
 
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_float_fields_need_numbers(self, value):
+        with pytest.raises(ValueError, match="'lr' must be a number"):
+            parse_config({"lr": value})
+
+    def test_integer_for_float_field_accepted(self):
+        assert parse_config({"beta": 1}).beta == 1
+
     def test_round_trip(self):
         cfg = TrainConfig(alpha=0.3, k=14, node_loss="v2")
         again = parse_config(cfg.to_dict())

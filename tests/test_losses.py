@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 
 from conftest import check_grad
 from fgwcl import autodiff as ad
+from fgwcl import ot
 from fgwcl.graph import make_graph
-from fgwcl.losses import (LossBreakdown, batch_union, loss_fusion, loss_node,
-                          loss_node_v2, loss_ot, ot_loss_from_distances,
-                          pair_distance, rowwise_cosine, solve_batch_plans,
-                          total_loss)
+from fgwcl.losses import (LossBreakdown, batch_indices, loss_fusion,
+                          loss_node, loss_node_v2, loss_ot,
+                          ot_loss_from_distances, rowwise_cosine,
+                          solve_batch_plans, total_loss)
 from fgwcl.model import Model, prepare_graph
 from fgwcl.ot import FgwConfig
 from fgwcl.sampling import sample_contrast_batch
@@ -172,11 +173,14 @@ class TestOtLossBatch:
                                          num_anchors=2, num_negatives=2,
                                          seed=1)
         cfg = FgwConfig(alpha=1.0, beta=5.0, max_iters=2000, tol=1e-10)
-        d = pair_distance(batch.originals[0], batch.originals[0], cfg)
+        view = batch.originals[0]
+        costs = ot.build_cost_matrices(view.a_slice, view.a_slice,
+                                       view.h_slice, view.h_slice, cfg.tau)
+        plan = ot.bapg_fgwd(costs, view.mu, view.mu, cfg)
+        d = ot.fgw_objective(costs, plan.P, cfg.alpha)
         # M = exp(-H H^T) has strictly positive entries; the self
         # distance is bounded by the best diagonal coupling value
-        k = batch.originals[0].indices.size
-        h = batch.originals[0].h_slice.data
+        h = view.h_slice.data
         diag_cost = np.exp(-np.sum(h * h, axis=1)).mean()
         # approximate convergence can land a hair above the bound
         assert 0.0 < d.item <= diag_cost * (1.0 + 1e-3)
@@ -266,11 +270,11 @@ class TestNodeLossV2:
         batch, _ = sample_contrast_batch(g, out.h, out.h_hat, k=4,
                                          num_anchors=4, num_negatives=2,
                                          seed=2)
-        union = batch_union(batch)
-        want = np.unique(np.concatenate(
-            [v.indices for v in batch.originals]))
-        assert np.array_equal(union, want)
-        assert batch_union(None).size == 0
+        got = batch_indices(batch)
+        want = np.concatenate([v.indices for v in batch.originals])
+        assert np.array_equal(got, want)
+        assert got.size == batch.anchors.size * 4
+        assert batch_indices(None).size == 0
 
 
 class TestFusionLoss:

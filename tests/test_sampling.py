@@ -6,9 +6,8 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import shortest_path
 
 from fgwcl import autodiff as ad
-from fgwcl.graph import Graph, make_graph
-from fgwcl.sampling import (assign_negatives, bfs_sample, build_views,
-                            default_anchor_count, sample_anchors,
+from fgwcl.graph import induced_subgraph, make_graph
+from fgwcl.sampling import (bfs_sample, default_anchor_count, sample_anchors,
                             sample_contrast_batch)
 
 
@@ -142,123 +141,153 @@ class TestBfsSample:
             bfs_sample(g, 0, 1)
 
 
+def path_center_batch():
+    """Path 0-1-...-5 at k=5: only anchors 2 and 3 have a full 2-hop
+    ball, so the batch holds exactly those two."""
+    g = path_graph(6)
+    h = ad.constant(g.x)
+    batch, excluded = sample_contrast_batch(g, h, h, k=5, num_anchors=6,
+                                            num_negatives=2, seed=0)
+    assert excluded == 4 and sorted(batch.anchors) == [2, 3]
+    return g, batch
+
+
 class TestBuildViews:
+    """The batch's stacked views: induced adjacency slices for the
+    originals, cosine similarities of the H-hat rows for the perturbed."""
+
     def setup_method(self):
         ad.reset_tape()
 
     def test_original_view_matches_adjacency(self):
-        g = path_graph(5)
-        idx = bfs_sample(g, 2, 5)
-        orig, pert = build_views(idx, g.adjacency,
-                                 ad.constant(g.x), ad.constant(g.x))
-        # indices [2,1,3,0,4]: path edges become 2-1, 2-3, 1-0, 3-4
+        g, batch = path_center_batch()
+        i = int(np.flatnonzero(batch.anchors == 2)[0])
+        idx = batch.index[i]
+        assert np.array_equal(idx, [2, 1, 3, 0, 4])
+        # path edges become 2-1, 2-3, 1-0, 3-4
         want = np.zeros((5, 5))
-        for i, j in [(0, 1), (0, 2), (1, 3), (2, 4)]:
-            want[i, j] = want[j, i] = 1.0
+        for r, c in [(0, 1), (0, 2), (1, 3), (2, 4)]:
+            want[r, c] = want[c, r] = 1.0
+        assert_allclose(batch.adjacency[i], want)
+        orig = batch.originals[i]
+        assert np.array_equal(orig.indices, idx)
         assert_allclose(orig.a_slice.data, want)
         assert_allclose(orig.h_slice.data, g.x[idx])
         assert_allclose(orig.mu, np.full(5, 0.2))
 
     def test_perturbed_view_cosine_with_zero_diagonal(self, rng):
-        g = random_graph(rng, 12)
+        g = random_graph(rng, 12, p=0.4)
         h_hat = rng.standard_normal((12, 6))
-        idx = bfs_sample(g, 0, 4)
-        if idx is None:
-            idx = np.array([0, 1, 2, 3])
-        _, pert = build_views(idx, g.adjacency, ad.constant(g.x),
-                              ad.constant(h_hat))
-        rows = h_hat[idx]
-        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        want = unit @ unit.T
-        np.fill_diagonal(want, 0.0)
-        assert_allclose(pert.a_slice.data, want, atol=1e-12)
-        assert_allclose(pert.h_slice.data, h_hat[idx])
+        h = ad.constant(rng.standard_normal((12, 6)))
+        batch, _ = sample_contrast_batch(g, h, ad.constant(h_hat), k=4,
+                                         num_anchors=6, num_negatives=2,
+                                         seed=0)
+        a = batch.anchors.size
+        h_rows, adj = batch.views()
+        adj = adj.data.reshape(2 * a, 4, 4)
+        for i, idx in enumerate(batch.index):
+            rows = h_hat[idx]
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            want = unit @ unit.T
+            np.fill_diagonal(want, 0.0)
+            assert_allclose(adj[a + i], want, atol=1e-12)
+            assert_allclose(batch.perturbed[i].a_slice.data, want,
+                            atol=1e-12)
+            assert_allclose(batch.perturbed[i].h_slice.data, h_hat[idx])
+            assert_allclose(h_rows.data[(a + i) * 4:(a + i + 1) * 4],
+                            h_hat[idx])
 
     def test_perturbed_view_is_differentiable(self, rng):
-        g = random_graph(rng, 10)
-        h_hat = ad.Tensor(rng.standard_normal((10, 5)), requires_grad=True)
-        idx = np.array([0, 2, 5, 7])
-        _, pert = build_views(idx, g.adjacency, ad.constant(g.x), h_hat)
-        ad.backward(ad.sum_all(pert.a_slice))
+        g = random_graph(rng, 30)
+        h = ad.constant(rng.standard_normal((30, 5)))
+        h_hat = ad.Tensor(rng.standard_normal((30, 5)), requires_grad=True)
+        batch, _ = sample_contrast_batch(g, h, h_hat, k=4,
+                                         num_anchors=3, num_negatives=2,
+                                         seed=1)
+        ad.backward(ad.sum_all(batch.views()[1]))
+        sampled = np.unique(batch.index)
         assert h_hat.grad is not None
-        assert np.any(h_hat.grad[idx] != 0.0)
-        assert np.all(h_hat.grad[np.setdiff1d(np.arange(10), idx)] == 0.0)
+        assert np.any(h_hat.grad[sampled] != 0.0)
+        assert np.all(h_hat.grad[np.setdiff1d(np.arange(30), sampled)]
+                      == 0.0)
 
-    def test_duplicate_indices_rejected(self):
-        g = path_graph(5)
-        with pytest.raises(ValueError, match="duplicate"):
-            build_views(np.array([0, 1, 1]), g.adjacency,
-                        ad.constant(g.x), ad.constant(g.x))
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_stack_matches_induced_subgraph(self, rng, shuffle):
+        for trial in range(5):
+            g = random_graph(rng, 40, p=0.1)
+            h = ad.constant(g.x)
+            batch, _ = sample_contrast_batch(g, h, h, k=5, num_anchors=20,
+                                             num_negatives=2, seed=trial,
+                                             shuffle_frontier=shuffle)
+            for anchor, idx, adj in zip(batch.anchors, batch.index,
+                                        batch.adjacency):
+                if not shuffle:
+                    assert np.array_equal(idx, bfs_sample(g, anchor, 5))
+                assert np.array_equal(adj,
+                                      induced_subgraph(g.adjacency, idx))
 
 
 class TestAssignNegatives:
+    """Contrast partners as drawn into the batch's partner_views."""
+
     def setup_method(self):
         ad.reset_tape()
 
-    def _views(self, g, anchors, k):
-        originals, perturbed, used = [], [], []
-        h = ad.constant(g.x)
-        for a in anchors:
-            idx = bfs_sample(g, int(a), k)
-            if idx is None:
-                continue
-            o, p = build_views(idx, g.adjacency, h, h)
-            originals.append(o)
-            perturbed.append(p)
-            used.append(int(a))
-        return np.asarray(used), originals, perturbed
-
     def test_two_anchors_use_each_other(self):
-        g = path_graph(9)
-        anchors, orig, pert = self._views(g, [2, 6], 5)
-        batch = assign_negatives(anchors, orig, pert, 2, seed=0)
-        assert batch.negatives[0][0] is orig[1]
-        assert batch.negatives[0][1] is pert[1]
-        assert batch.negatives[1][0] is orig[0]
-        assert batch.negatives[1][1] is pert[0]
+        _, batch = path_center_batch()
+        # own perturbed view, then the other anchor's original and
+        # perturbed views; views 0, 1 are originals and 2, 3 perturbed
+        assert np.array_equal(batch.partner_views, [[2, 1, 3], [3, 0, 2]])
+        for i, negs in enumerate(batch.negatives):
+            other = 1 - i
+            assert np.array_equal(negs[0].a_slice.data,
+                                  batch.originals[other].a_slice.data)
+            assert np.array_equal(negs[1].a_slice.data,
+                                  batch.perturbed[other].a_slice.data)
+            assert np.array_equal(negs[1].indices, batch.index[other])
 
     def test_partner_never_self(self, rng):
         g = random_graph(rng, 40)
-        anchors, orig, pert = self._views(g, list(range(40)), 4)
-        batch = assign_negatives(anchors, orig, pert, 2, seed=5)
-        for i, negs in enumerate(batch.negatives):
-            assert len(negs) == 2
-            for neg in negs:
-                assert neg is not orig[i] and neg is not pert[i]
+        h = ad.constant(g.x)
+        batch, _ = sample_contrast_batch(g, h, h, k=4, num_anchors=40,
+                                         num_negatives=2, seed=5)
+        a = batch.anchors.size
+        assert batch.partner_views.shape == (a, 3)
+        assert np.array_equal(batch.partner_views[:, 0], a + np.arange(a))
+        partner = batch.partner_views[:, 1]
+        assert np.all(partner < a) and np.all(partner != np.arange(a))
+        assert np.array_equal(batch.partner_views[:, 2], partner + a)
 
     def test_partner_frequency_uniform(self):
         g = star_graph(20)
-        anchors, orig, pert = self._views(g, list(range(10)), 3)
-        assert anchors.size == 10
-        id_of = {id(o): j for j, o in enumerate(orig)}
+        h = ad.constant(g.x)
         counts = np.zeros(10)
         for seed in range(1000):
-            batch = assign_negatives(anchors, orig, pert, 2, seed=seed)
-            counts[id_of[id(batch.negatives[0][0])]] += 1
+            batch, _ = sample_contrast_batch(g, h, h, k=3, num_anchors=10,
+                                             num_negatives=2, seed=seed)
+            assert batch.anchors.size == 10
+            counts[batch.partner_views[0, 1]] += 1
         # anchor 0 draws each of the 9 others ~1/9 of the time
         assert counts[0] == 0
         assert_allclose(counts[1:] / 1000.0, np.full(9, 1 / 9), atol=0.04)
 
     def test_resampled_across_seeds(self):
         g = star_graph(20)
-        anchors, orig, pert = self._views(g, list(range(10)), 3)
-        picks = {id(assign_negatives(anchors, orig, pert, 2, seed=s)
-                    .negatives[0][0]) for s in range(20)}
+        h = ad.constant(g.x)
+        picks = {int(sample_contrast_batch(g, h, h, k=3, num_anchors=10,
+                                           num_negatives=2, seed=s)[0]
+                     .partner_views[0, 1]) for s in range(20)}
         assert len(picks) > 1
 
     def test_single_anchor_skips(self, caplog):
-        g = path_graph(9)
-        anchors, orig, pert = self._views(g, [4], 5)
+        # on the path 0-...-4 only the center fills a k=5 ball
+        g = path_graph(5)
+        h = ad.constant(g.x)
         with caplog.at_level(logging.WARNING):
-            batch = assign_negatives(anchors, orig, pert, 2, seed=0)
-        assert batch is None
+            batch, excluded = sample_contrast_batch(
+                g, h, h, k=5, num_anchors=5, num_negatives=2, seed=0)
+        assert batch is None and excluded == 4
         assert "skipping the subgraph loss" in caplog.text
-
-    def test_mismatched_lists_rejected(self):
-        g = path_graph(9)
-        anchors, orig, pert = self._views(g, [2, 6], 5)
-        with pytest.raises(ValueError, match="disagree"):
-            assign_negatives(anchors, orig, pert[:1], 2, seed=0)
 
 
 class TestContrastBatch:
