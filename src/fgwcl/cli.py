@@ -2,8 +2,7 @@
 
 Commands: train, eval, sweep-alpha, bench, distance. Every command
 accepts --config (JSON with exact TrainConfig field names), --seed
-(overrides the config seed), --threads (accepted, has no effect) and
---out (artifact directory).
+(overrides the config seed) and --out (artifact directory).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -43,10 +41,6 @@ def _default_grid() -> list[float]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="overrides the config seed")
-    parser.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="has no effect; transport problems are "
-                             "solved as one stack")
     parser.add_argument("--out", default="out", help="artifact directory")
 
 
@@ -127,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     g = _load_graph(args)
-    result = train(cfg, g, args.out, threads=args.threads)
+    result = train(cfg, g, args.out)
     print(result.summary_path.read_text(), end="")
     return 0
 
@@ -151,7 +145,7 @@ def _cmd_sweep(args) -> int:
     g = _load_graph(args)
     grid = args.grid if args.grid is not None else _default_grid()
     rows = sweep_alpha(cfg, g, grid, args.out, seeds=args.sweep_seeds,
-                       threads=args.threads, split_mode=args.split_mode)
+                       split_mode=args.split_mode)
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -159,8 +153,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     rows = bench_timing(args.sizes, cfg, args.out, iters=args.iters,
-                        warmup=args.warmup, feature_dim=args.feature_dim,
-                        threads=args.threads)
+                        warmup=args.warmup, feature_dim=args.feature_dim)
     print(json.dumps(rows, indent=2))
     return 0
 

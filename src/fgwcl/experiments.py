@@ -26,10 +26,9 @@ log = logging.getLogger(__name__)
 
 
 def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
-                seeds: int = 5, threads: int = 1,
+                seeds: int = 5,
                 split_mode: str = "fractional") -> list[dict]:
-    """Train and probe per grid value; one row per alpha. `threads` has
-    no effect."""
+    """Train and probe per grid value; one row per alpha."""
     grid = [float(a) for a in grid]
     if not grid:
         raise ValueError("alpha grid must be non-empty")
@@ -45,7 +44,7 @@ def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
         for seed in range(seeds):
             trial_cfg = dataclasses.replace(cfg, alpha=alpha, seed=seed)
             run_dir = out / f"alpha_{alpha:.2f}" / f"seed_{seed}"
-            result = train(trial_cfg, g, run_dir, threads=threads)
+            result = train(trial_cfg, g, run_dir)
             gt = prepare_graph(g, trial_cfg.degree_feature,
                                trial_cfg.normalize_features)
             features = embed(result.model, gt)
@@ -77,11 +76,10 @@ def bench_graph_params(n: int, feature_dim: int = 32,
 
 def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
                  iters: int = 3, warmup: int = 1, feature_dim: int = 32,
-                 threads: int = 1, seed: int = 0) -> list[dict]:
+                 seed: int = 0) -> list[dict]:
     """Mean per-phase epoch times for each graph size.
 
     Warm-up epochs (allocator effects) are excluded from the means.
-    `threads` has no effect.
     """
     if iters < 1 or warmup < 0:
         raise ValueError("need iters >= 1 and warmup >= 0")
@@ -93,7 +91,7 @@ def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
                                              seed=seed))
         run_cfg = dataclasses.replace(cfg, epochs=warmup + iters,
                                       seed=seed)
-        result = train(run_cfg, g, out / f"n_{n}", threads=threads)
+        result = train(run_cfg, g, out / f"n_{n}")
         timed = result.records[warmup:]
         if len(timed) < iters:
             raise ArithmeticError(f"benchmark run at n={n} diverged")

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import STATUS_MAX_ITERS, KernelBackend
+from .kernels import (STATUS_MAX_ITERS, STATUS_STATIONARY_INFEASIBLE,
+                      KernelBackend)
 from .ot import FgwConfig, bapg_fgwd_batch, fgw_batch
 from .sampling import ContrastBatch
 
@@ -55,12 +56,15 @@ def solver_stats(plans: list) -> dict:
     field is None when there were no solves."""
     if not plans:
         return {"ot_iters_mean": None, "ot_iters_max": None,
-                "ot_capped_share": None, "ot_row_residual_max": None}
+                "ot_capped_share": None, "ot_infeasible_share": None,
+                "ot_row_residual_max": None}
     iters = np.array([p.iterations for p in plans])
-    capped = np.array([p.status == STATUS_MAX_ITERS for p in plans])
+    status = np.array([p.status for p in plans])
     return {"ot_iters_mean": float(iters.mean()),
             "ot_iters_max": int(iters.max()),
-            "ot_capped_share": float(capped.mean()),
+            "ot_capped_share": float((status == STATUS_MAX_ITERS).mean()),
+            "ot_infeasible_share":
+                float((status == STATUS_STATIONARY_INFEASIBLE).mean()),
             "ot_row_residual_max": max(p.residual for p in plans)}
 
 

@@ -41,7 +41,6 @@ class FgwConfig:
     tau: float = 1.0
     seed: int = 0
     init_jitter: float = 1e-3  # 0 starts from exactly mu nu^T
-    plain_stop: bool = False  # Frobenius-change rule only, no residual check
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -76,7 +75,7 @@ class TransportPlan:
     objective: float
     iterations: int
     residual: float  # max abs row-marginal violation; columns are exact
-    status: int  # kernels.STATUS_CONVERGED or STATUS_MAX_ITERS
+    status: int  # a kernels.STATUS_* code other than STATUS_NON_FINITE
 
 
 def _lift(x) -> Tensor:
@@ -202,8 +201,7 @@ def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
         backend = get_backend()
     P, iters, status = backend.bapg_batch(
         M, C1, C2, mu, nu, float(cfg.alpha), float(cfg.beta),
-        int(cfg.max_iters), float(cfg.tol), initial_plan(mu, nu, cfg),
-        not cfg.plain_stop)
+        int(cfg.max_iters), float(cfg.tol), initial_plan(mu, nu, cfg))
     bad = np.flatnonzero(status == STATUS_NON_FINITE)
     if bad.size:
         b = int(bad[0])

@@ -193,6 +193,8 @@ def sample_contrast_batch(g: Graph, h: Tensor, h_hat: Tensor, k: int,
     None (the caller skips the subgraph loss this step) when fewer than 2
     usable anchors remain.
     """
+    if num_negatives < 1:
+        raise ValueError(f"need at least 1 negative, got {num_negatives}")
     anchor_ids = sample_anchors(g, num_anchors, seed)
     rng = np.random.default_rng(seed + 1) if shuffle_frontier else None
     sets = [bfs_sample(g, int(anchor), k, rng=rng) for anchor in anchor_ids]
@@ -203,8 +205,6 @@ def sample_contrast_batch(g: Graph, h: Tensor, h_hat: Tensor, k: int,
         log.warning("only %d usable anchors; skipping the subgraph loss",
                     count)
         return None, excluded
-    if num_negatives < 1:
-        raise ValueError(f"need at least 1 negative, got {num_negatives}")
     draws = np.random.default_rng(seed)
     partners_needed = (num_negatives + 1) // 2
     partner_views = np.empty((count, num_negatives + 1), dtype=np.int64)

@@ -107,9 +107,8 @@ def epoch_plans(model: Model, gt: GraphTensors, cfg: TrainConfig,
 
 def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
               fgw: FgwConfig, backend: KernelBackend, epoch: int,
-              threads: int = 1, plans=None) -> tuple[LossBreakdown, dict]:
-    """Forward pass and losses for one epoch; no parameter update.
-    `threads` has no effect."""
+              plans=None) -> tuple[LossBreakdown, dict]:
+    """Forward pass and losses for one epoch; no parameter update."""
     h, lam, h_f, h_s, h_hat, batch, excluded, times = _epoch_views(
         model, gt, cfg, epoch)
 

@@ -327,7 +327,7 @@ class TestScalingShape:
             sides.append(int(batch_indices(batch).size))
         with tempfile.TemporaryDirectory() as out:
             rows = bench_timing([1000, 10000], cfg, out, iters=3,
-                                warmup=1, threads=4)
+                                warmup=1)
         ratio = rows[1]["time_ot_ms"] / rows[0]["time_ot_ms"]
         dt = time.perf_counter() - t0
         ok = ratio < 2.0 and sides[0] == sides[1] == 300 * 12

@@ -30,7 +30,7 @@ def config_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, graph_files, config_file):
     out = tmp_path_factory.mktemp("run")
-    rc = cli.main(["train", "--config", config_file, "--threads", "1",
+    rc = cli.main(["train", "--config", config_file,
                    "--out", str(out), "--edges", graph_files["edges"],
                    "--features", graph_files["features"],
                    "--labels", graph_files["labels"]])
@@ -54,7 +54,7 @@ class TestTrain:
     def test_seed_override_lands_in_summary(self, tmp_path, graph_files,
                                             config_file):
         rc = cli.main(["train", "--config", config_file, "--seed", "7",
-                       "--threads", "1", "--out", str(tmp_path)]
+                       "--out", str(tmp_path)]
                       + graph_args(graph_files))
         assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -112,7 +112,7 @@ class TestSweep:
     def test_single_point_grid(self, tmp_path, graph_files, config_file,
                                capsys):
         rc = cli.main(["sweep-alpha", "--config", config_file, "--grid",
-                       "0.5", "--sweep-seeds", "1", "--threads", "1",
+                       "0.5", "--sweep-seeds", "1",
                        "--out", str(tmp_path)] + graph_args(graph_files))
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
@@ -131,7 +131,7 @@ class TestBench:
     def test_rows_printed(self, tmp_path, config_file, capsys):
         rc = cli.main(["bench", "--config", config_file, "--sizes", "50",
                        "--iters", "1", "--warmup", "0", "--feature-dim",
-                       "6", "--threads", "1", "--out", str(tmp_path)])
+                       "6", "--out", str(tmp_path)])
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["n"] == 50

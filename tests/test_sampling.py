@@ -289,6 +289,14 @@ class TestAssignNegatives:
         assert batch is None and excluded == 4
         assert "skipping the subgraph loss" in caplog.text
 
+    def test_zero_negatives_rejected_when_loss_skipped(self):
+        # fewer than 2 usable anchors still rejects a bad negative count
+        g = path_graph(5)
+        h = ad.constant(g.x)
+        with pytest.raises(ValueError, match="at least 1 negative"):
+            sample_contrast_batch(g, h, h, k=5, num_anchors=5,
+                                  num_negatives=0, seed=0)
+
 
 class TestContrastBatch:
     def setup_method(self):

@@ -120,6 +120,7 @@ class TestTrainLoop:
             assert isinstance(rec["ot_iters_max"], int)
             assert rec["ot_iters_max"] <= cfg.bapg_iters
             assert 0.0 <= rec["ot_capped_share"] <= 1.0
+            assert 0.0 <= rec["ot_infeasible_share"] <= 1.0
             assert 0.0 <= rec["ot_row_residual_max"] <= 1.0
 
 
