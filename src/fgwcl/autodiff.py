@@ -184,7 +184,8 @@ def make_op(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     recorded.
     """
     if not np.isfinite(out_data).all():
-        raise ArithmeticError(f"{kind}: non-finite values in result")
+        raise ArithmeticError(f"{kind}: non-finite values in "
+                              f"{np.shape(out_data)} result")
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(np.asarray(out_data, dtype=np.float64))
     out.requires_grad = False
@@ -460,14 +461,6 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     return make_op("l2_normalize_rows", (a,), out_data, back)
 
 
-def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between rows of ``a`` and rows of ``b``."""
-    a, b = _lift(a), _lift(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"cosine_matrix: feature dims differ, {a.shape} vs {b.shape}")
-    return matmul(l2_normalize_rows(a), transpose(l2_normalize_rows(b)))
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     a = _lift(a)
     idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -507,6 +500,14 @@ def sum_rows(a: Tensor) -> Tensor:
     m = a.shape[1]
     return make_op("sum_rows", (a,), a.data.sum(axis=1, keepdims=True),
                    lambda g: (np.repeat(g, m, axis=1),))
+
+
+def sum_cols(a: Tensor) -> Tensor:
+    """Column sums as an (m, 1) column, without a transposed copy of a."""
+    a = _lift(a)
+    n = a.shape[0]
+    return make_op("sum_cols", (a,), a.data.sum(axis=0).reshape(-1, 1),
+                   lambda g: (np.repeat(g.T, n, axis=0),))
 
 
 def diag_part(a: Tensor) -> Tensor:

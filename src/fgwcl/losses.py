@@ -26,6 +26,21 @@ from .ot import FgwConfig, bapg_fgwd_batch, fgw_batch
 from .sampling import ContrastBatch
 
 
+def _stacked_costs(batch: ContrastBatch, tau: float,
+                   taped: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+    """Costs of every (anchor, partner) pair in loss order, stacked as
+    fgw_batch takes them: M = exp(-H1 H2^T / tau), Ck = exp(-Ak / tau).
+    taped=False computes the same values and records nothing."""
+    rows1, rows2 = batch.pair_rows()
+    scale = ad.constant(-1.0 / tau)
+    H, A = batch.views(taped)
+    C = ad.exp(ad.mul(A, scale))
+    M = ad.exp(ad.mul(ad.block_matmul_t(ad.gather_rows(H, rows1),
+                                        ad.gather_rows(H, rows2),
+                                        batch.partner_views.size), scale))
+    return M, ad.gather_rows(C, rows1), ad.gather_rows(C, rows2)
+
+
 def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
                       backend: Optional[KernelBackend] = None,
                       threads: int = 1) -> list:
@@ -34,21 +49,14 @@ def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
     are constants with respect to the embeddings, so callers can
     re-evaluate the loss at perturbed parameters while keeping the
     couplings fixed. `threads` has no effect."""
-    rows1, rows2 = batch.pair_rows()
     B, k = batch.partner_views.size, batch.index.shape[1]
-    scale = -1.0 / cfg.tau
-    H, A = (t.data for t in batch.views(taped=False))
-    C = np.exp(A * scale)
-    H1 = H[rows1].reshape(B, k, -1)
-    H2 = H[rows2].reshape(B, k, -1)
-    with np.errstate(over="ignore"):
-        M = np.exp((H1 @ H2.transpose(0, 2, 1)) * scale)
-    if not np.isfinite(M).all():
-        raise ArithmeticError("solve_batch_plans: exp overflow in the "
-                              "feature costs")
+    try:
+        costs = _stacked_costs(batch, cfg.tau, taped=False)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"solve_batch_plans: {exc}") from exc
+    M, C1, C2 = (t.data.reshape(B, k, k) for t in costs)
     mu = np.full((B, k), 1.0 / k)
-    return bapg_fgwd_batch(M, C[rows1].reshape(B, k, k),
-                           C[rows2].reshape(B, k, k), mu, mu, cfg, backend)
+    return bapg_fgwd_batch(M, C1, C2, mu, mu, cfg, backend)
 
 
 def solver_stats(plans: list) -> dict:
@@ -94,42 +102,42 @@ def loss_ot(batch: Optional[ContrastBatch], cfg: FgwConfig,
     `threads` has no effect."""
     if batch is None or batch.anchors.size < 2:
         return None
-    rows1, rows2 = batch.pair_rows()
     B = batch.partner_views.size
     if plans is None:
         plans = solve_batch_plans(batch, cfg, backend)
     elif len(plans) != B:
         raise ValueError(f"got {len(plans)} plans for {B} pairs")
-    scale = ad.constant(-1.0 / cfg.tau)
-    H, A = batch.views()
-    C = ad.exp(ad.mul(A, scale))
-    M = ad.exp(ad.mul(ad.block_matmul_t(ad.gather_rows(H, rows1),
-                                        ad.gather_rows(H, rows2), B), scale))
-    d = fgw_batch(M, ad.gather_rows(C, rows1), ad.gather_rows(C, rows2),
-                  np.stack([plan.P for plan in plans]), cfg.alpha)
+    M, C1, C2 = _stacked_costs(batch, cfg.tau)
+    d = fgw_batch(M, C1, C2, np.stack([plan.P for plan in plans]), cfg.alpha)
     return ot_loss_from_distances(ad.reshape(d, batch.partner_views.shape),
                                   cfg.tau)
 
 
-def _nce_direction(anchors: Tensor, others: Tensor, tau: float) -> Tensor:
-    """sum_i log(exp(s(a_i,b_i)/tau) / (intra-negatives + cross terms))."""
-    inv_tau = ad.constant(1.0 / tau)
-    e_cross = ad.exp(ad.mul(ad.cosine_matrix(anchors, others), inv_tau))
-    e_intra = ad.exp(ad.mul(ad.cosine_matrix(anchors, anchors), inv_tau))
-    pos = ad.diag_part(e_cross)
-    denom = ad.add(ad.sum_rows(e_cross),
-                   ad.sub(ad.sum_rows(e_intra), ad.diag_part(e_intra)))
-    return ad.sum_all(ad.log(ad.div(pos, denom)))
-
-
 def loss_node(h: Tensor, h_hat: Tensor, tau: float) -> Tensor:
-    """Symmetrized InfoNCE over all nodes; builds N x N similarities."""
+    """Symmetric intra- plus cross-view InfoNCE over all nodes (GRACE).
+    The row sums of x = exp(cos(h, h_hat)/tau) serve h -> h_hat and its
+    column sums h_hat -> h, each with the intra-view negatives of its
+    anchor view; each positive's log x_ii is its row-wise cosine/tau."""
     if h.shape != h_hat.shape:
         raise ValueError(f"view shapes differ: {h.shape} vs {h_hat.shape}")
     n = h.shape[0]
-    both = ad.add(_nce_direction(h, h_hat, tau),
-                  _nce_direction(h_hat, h, tau))
-    return ad.mul(ad.constant(-1.0 / (2 * n)), both)
+    inv_tau = ad.constant(1.0 / tau)
+    z, z_hat = ad.l2_normalize_rows(h), ad.l2_normalize_rows(h_hat)
+    zs, zs_hat = ad.mul(z, inv_tau), ad.mul(z_hat, inv_tau)
+    zt, zt_hat = ad.transpose(z), ad.transpose(z_hat)
+    cross = ad.exp(ad.matmul(zs, zt_hat))
+    intra = ad.exp(ad.matmul(zs, zt))
+    intra_hat = ad.exp(ad.matmul(zs_hat, zt_hat))
+
+    def log_denominator(cross_sums: Tensor, e_intra: Tensor) -> Tensor:
+        return ad.log(ad.add(cross_sums, ad.sub(ad.sum_rows(e_intra),
+                                                ad.diag_part(e_intra))))
+
+    log_pos = ad.sum_rows(ad.mul(zs, z_hat))
+    both = ad.sub(ad.mul(log_pos, ad.constant(2.0)),
+                  ad.add(log_denominator(ad.sum_rows(cross), intra),
+                         log_denominator(ad.sum_cols(cross), intra_hat)))
+    return ad.mul(ad.constant(-1.0 / (2 * n)), ad.sum_all(both))
 
 
 def loss_node_v2(h: Tensor, h_hat: Tensor, union_indices,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _lift
 from .kernels import STATUS_NON_FINITE, KernelBackend, get_backend
 from .kernels import tensor_product_numpy as tensor_product
 
@@ -78,8 +78,10 @@ class TransportPlan:
     status: int  # a kernels.STATUS_* code other than STATUS_NON_FINITE
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _cost_arrays(costs: CostMatrices) -> tuple[np.ndarray, ...]:
+    """M, C1 and C2 as plain contiguous arrays, taped or not."""
+    return tuple(np.ascontiguousarray(x.data if isinstance(x, Tensor) else x)
+                 for x in (costs.M, costs.C1, costs.C2))
 
 
 def build_cost_matrices(A1, A2, H1, H2, tau: float) -> CostMatrices:
@@ -180,9 +182,7 @@ def _check_marginal(name: str, w: np.ndarray, size: int) -> np.ndarray:
 def bapg_fgwd(costs: CostMatrices, mu, nu, cfg: FgwConfig,
               backend: KernelBackend | None = None) -> TransportPlan:
     """Solve for the transport plan and evaluate the FGW objective at it."""
-    M = np.ascontiguousarray(costs.M.data if isinstance(costs.M, Tensor) else costs.M)
-    C1 = np.ascontiguousarray(costs.C1.data if isinstance(costs.C1, Tensor) else costs.C1)
-    C2 = np.ascontiguousarray(costs.C2.data if isinstance(costs.C2, Tensor) else costs.C2)
+    M, C1, C2 = _cost_arrays(costs)
     n, m = M.shape
     mu = _check_marginal("mu", mu, n)
     nu = _check_marginal("nu", nu, m)
@@ -245,9 +245,7 @@ def _coupling_2x2(t: float) -> np.ndarray:
 def fgw_brute_small(costs: CostMatrices, cfg: FgwConfig) -> float:
     """Exact 2x2 FGW with uniform marginals by grid search over the single
     free coupling parameter t in P(t) = [[t, 1/2-t], [1/2-t, t]]."""
-    M = costs.M.data if isinstance(costs.M, Tensor) else np.asarray(costs.M)
-    C1 = costs.C1.data if isinstance(costs.C1, Tensor) else np.asarray(costs.C1)
-    C2 = costs.C2.data if isinstance(costs.C2, Tensor) else np.asarray(costs.C2)
+    M, C1, C2 = _cost_arrays(costs)
     if M.shape != (2, 2):
         raise ValueError(f"oracle scope is 2x2 problems, got {M.shape}")
 

@@ -72,3 +72,20 @@ def test_check_pairs_finds_no_problems(workloads):
                                   0)
     assert len(plans) == 18
     assert report.problems == []
+
+
+@pytest.mark.parametrize("node_loss", ["full", "v2"])
+def test_check_gradient_finds_no_problems(workloads, node_loss):
+    # central differences of the run_epoch total along random directions,
+    # plans held fixed, against the taped gradient
+    g = tiny_graph()
+    cfg = tiny_config(node_loss=node_loss)
+    fgw = train.fgw_config(cfg)
+    backend = get_backend()
+    model = train.build_model(cfg, g)
+    gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
+    plans = train.epoch_plans(model, gt, cfg, fgw, backend, 0)
+    report = workloads.Report()
+    workloads.check_gradient(report, model, gt, cfg, fgw, backend, 0, plans,
+                             seed=0)
+    assert report.problems == []

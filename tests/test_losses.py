@@ -165,6 +165,19 @@ class TestOtLossBatch:
         with pytest.raises(ValueError, match="plans"):
             loss_ot(batch, cfg, plans=plans[:-1])
 
+    def test_feature_cost_overflow_names_the_solve(self, rng):
+        # h_hat = -h makes every positive pair's H1 H2^T very negative, so
+        # exp(-H1 H2^T / tau) overflows in the stacked feature costs
+        g, gt, model = small_setup(rng)
+        x = 100.0 * np.ones((g.n, 5))
+        batch, _ = sample_contrast_batch(g, ad.constant(x), ad.constant(-x),
+                                         k=4, num_anchors=3, num_negatives=2,
+                                         seed=5)
+        cfg = FgwConfig(alpha=0.5, beta=5.0, max_iters=5)
+        with pytest.raises(ArithmeticError,
+                           match=r"^solve_batch_plans: exp: non-finite"):
+            solve_batch_plans(batch, cfg)
+
     def test_pair_distance_self_under_identity_views(self, rng):
         # identical views: the distance is small once the solver settles
         g, gt, model = small_setup(rng, n=12)
@@ -213,6 +226,20 @@ class TestNodeLoss:
         hh = ad.constant(rng.standard_normal((7, 5)))
         assert_allclose(loss_node(h, hh, 0.8).item,
                         loss_node(hh, h, 0.8).item, rtol=1e-12)
+
+    def test_three_square_similarity_buffers(self, rng):
+        # one normalization per view, and the cross matrix serves both
+        # directions: matmul and exp for each of cross, intra-h, intra-h_hat
+        h = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        tape = ad.reset_tape()
+        loss_node(h, hh, 0.7)
+        square = [op.kind for op in tape.ops if op.output.shape == (9, 9)]
+        assert sorted(square) == ["exp"] * 3 + ["matmul"] * 3
+        normalized = [op.inputs[0] for op in tape.ops
+                      if op.kind == "l2_normalize_rows"]
+        assert len(normalized) == 2
+        assert normalized[0] is h and normalized[1] is hh
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="differ"):
