@@ -431,19 +431,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
                    lambda g: (np.where(pos, g, slope * g),))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        return ((g - dot) * out_data,)
-
-    return make_op("softmax_rows", (a,), out_data, back)
-
-
 def l2_normalize_rows(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm; rows with norm < NORM_EPS map to zero."""
     a = _lift(a)
@@ -478,12 +465,16 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
+#
+# Their backward rules return read-only broadcast views, not new buffers:
+# backward never writes into an incoming gradient, and accumulate_grad
+# copies on first write.
 
 def sum_all(a: Tensor) -> Tensor:
     a = _lift(a)
     shape = a.shape
     return make_op("sum", (a,), np.array([[a.data.sum()]]),
-                   lambda g: (np.full(shape, g[0, 0]),))
+                   lambda g: (np.broadcast_to(g, shape),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -491,42 +482,19 @@ def mean_all(a: Tensor) -> Tensor:
     shape = a.shape
     n = a.data.size
     return make_op("mean", (a,), np.array([[a.data.mean()]]),
-                   lambda g: (np.full(shape, g[0, 0] / n),))
+                   lambda g: (np.broadcast_to(g / n, shape),))
 
 
 def sum_rows(a: Tensor) -> Tensor:
     """Row sums as an (n, 1) column."""
     a = _lift(a)
-    m = a.shape[1]
+    shape = a.shape
     return make_op("sum_rows", (a,), a.data.sum(axis=1, keepdims=True),
-                   lambda g: (np.repeat(g, m, axis=1),))
-
-
-def sum_cols(a: Tensor) -> Tensor:
-    """Column sums as an (m, 1) column, without a transposed copy of a."""
-    a = _lift(a)
-    n = a.shape[0]
-    return make_op("sum_cols", (a,), a.data.sum(axis=0).reshape(-1, 1),
-                   lambda g: (np.repeat(g.T, n, axis=0),))
-
-
-def diag_part(a: Tensor) -> Tensor:
-    """Diagonal of a square matrix as an (n, 1) column."""
-    a = _lift(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"diag_part: matrix must be square, got {a.shape}")
-    n = a.shape[0]
-
-    def back(g):
-        z = np.zeros((n, n))
-        np.fill_diagonal(z, g.ravel())
-        return (z,)
-
-    return make_op("diag_part", (a,), np.diag(a.data).reshape(-1, 1).copy(), back)
+                   lambda g: (np.broadcast_to(g, shape),))
 
 
 # ---------------------------------------------------------------------------
-# regularization / initialization
+# regularization
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator,
             training: bool) -> Tensor:
@@ -541,12 +509,86 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator,
     return make_op("dropout", (a,), a.data * mask, lambda g: (g * mask,))
 
 
-def glorot_init(shape, seed, requires_grad: bool = True) -> Tensor:
-    """Uniform Glorot initialization, deterministic for a given seed."""
-    rows, cols = shape
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"glorot_init: dimensions must be positive, got {shape}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / (rows + cols))
-    data = rng.uniform(-bound, bound, size=(rows, cols))
-    return Tensor(data, requires_grad=requires_grad)
+
+# ---------------------------------------------------------------------------
+# fused losses
+
+# entries in one row block of an (S, S) similarity (8 MB of float64); at
+# S = 3600, d = 8, blocks of 4x as many rows measured 25-35% slower
+NCE_BLOCK_ENTRIES = 2 ** 20
+
+
+def _exp_block(left: np.ndarray, right: np.ndarray, i0: int, out: np.ndarray,
+               zero_diagonal: bool) -> np.ndarray:
+    """exp(left[i0:i0+b] right^T) written into out[:b], where b is the
+    smaller of out's row count and the rows left after i0; zero_diagonal
+    zeroes the entries (i, i) of the full matrix."""
+    b = min(out.shape[0], left.shape[0] - i0)
+    e = np.matmul(left[i0:i0 + b], right.T, out=out[:b])
+    np.exp(e, out=e)
+    if zero_diagonal:
+        e[np.arange(b), np.arange(i0, i0 + b)] = 0.0
+    return e
+
+
+def info_nce(z: Tensor, z_hat: Tensor, tau: float) -> Tensor:
+    """Symmetric intra- plus cross-view InfoNCE (GRACE) of two
+    row-normalized (S, d) views, as one op that holds no (S, S) matrix.
+
+    With x = exp(z z_hat^T / tau) and the intra-view u = exp(z z^T / tau),
+    v = exp(z_hat z_hat^T / tau), diagonals excluded, the loss is
+    -1/(2S) sum_i [2 z_i.z_hat_i / tau - log r_i - log c_i], where
+    r = rowsum(x) + rowsum(u) and c = colsum(x) + rowsum(v). The forward
+    pass accumulates r and c over row blocks of the three exp matrices;
+    the backward pass recomputes each block instead of storing it.
+    """
+    z, z_hat = _lift(z), _lift(z_hat)
+    if z.shape != z_hat.shape:
+        raise ValueError(f"info_nce: view shapes differ: {z.shape} vs "
+                         f"{z_hat.shape}")
+    n = z.shape[0]
+    s = 1.0 / tau
+    za, zb = z.data, z_hat.data
+    sa, sb = s * za, s * zb
+    step = max(1, NCE_BLOCK_ENTRIES // n)
+    starts = range(0, n, step)
+
+    r, c = np.zeros(n), np.zeros(n)
+    buf = np.empty((min(step, n), n))
+    with np.errstate(over="ignore"):
+        for i0 in starts:
+            rows = slice(i0, i0 + step)
+            x = _exp_block(sa, zb, i0, buf, False)
+            r[rows] += x.sum(axis=1)
+            c += x.sum(axis=0)
+            r[rows] += _exp_block(sa, za, i0, buf, True).sum(axis=1)
+            c[rows] += _exp_block(sb, zb, i0, buf, True).sum(axis=1)
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ArithmeticError(f"info_nce: non-finite values in ({n}, {n}) "
+                              f"similarity")
+    log_pos = (sa * zb).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        value = (-1.0 / (2 * n)) * np.sum(2.0 * log_pos
+                                          - (np.log(r) + np.log(c)))
+
+    def back(g):
+        gs = g[0, 0]
+        a, b = gs / (2 * n * r), gs / (2 * n * c)
+        dz, dz_hat = (-gs / n) * sb, (-gs / n) * sa
+        blk = np.empty((min(step, n), n))
+        w = np.empty_like(blk)
+        for i0 in starts:
+            rows = slice(i0, i0 + step)
+            x = _exp_block(sa, zb, i0, blk, False)
+            x *= np.add(a[rows, None], b, out=w[:len(x)])
+            dz[rows] += x @ sb
+            dz_hat += x.T @ sa[rows]
+            u = _exp_block(sa, za, i0, blk, True)
+            u *= np.add(a[rows, None], a, out=w[:len(u)])
+            dz[rows] += u @ sa
+            v = _exp_block(sb, zb, i0, blk, True)
+            v *= np.add(b[rows, None], b, out=w[:len(v)])
+            dz_hat[rows] += v @ sb
+        return dz, dz_hat
+
+    return make_op("info_nce", (z, z_hat), np.array([[value]]), back)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,6 +37,53 @@ def np_node_loss(h, hh, tau):
     n = h.shape[0]
     return -(direction(cross, intra_a)
              + direction(cross.T, intra_b)) / (2 * n)
+
+
+def shared_matrix_reference(h, h_hat, tau):
+    """The node loss spelled out with taped (S, S) matrices: the cross
+    matrix's row sums serve h -> h_hat and its column sums h_hat -> h."""
+    n = h.shape[0]
+    inv_tau = ad.constant(1.0 / tau)
+    eye = ad.constant(np.eye(n))
+    z, z_hat = ad.l2_normalize_rows(h), ad.l2_normalize_rows(h_hat)
+    zs, zs_hat = ad.mul(z, inv_tau), ad.mul(z_hat, inv_tau)
+    cross = ad.exp(ad.matmul(zs, ad.transpose(z_hat)))
+    intra = ad.exp(ad.matmul(zs, ad.transpose(z)))
+    intra_hat = ad.exp(ad.matmul(zs_hat, ad.transpose(z_hat)))
+
+    def log_denominator(cross_sums, e_intra):
+        diagonal = ad.sum_rows(ad.mul(e_intra, eye))
+        return ad.log(ad.add(cross_sums, ad.sub(ad.sum_rows(e_intra),
+                                                diagonal)))
+
+    log_pos = ad.sum_rows(ad.mul(zs, z_hat))
+    both = ad.sub(ad.mul(log_pos, ad.constant(2.0)),
+                  ad.add(log_denominator(ad.sum_rows(cross), intra),
+                         log_denominator(ad.sum_rows(ad.transpose(cross)),
+                                         intra_hat)))
+    return ad.mul(ad.constant(-1.0 / (2 * n)), ad.sum_all(both))
+
+
+def square_outputs(tape):
+    """Shapes of tape outputs that are (S, S) with S > 1."""
+    return [op.output.shape for op in tape.ops
+            if op.output.shape[0] == op.output.shape[1] > 1]
+
+
+def info_nce_rows(tape):
+    """Row count of both inputs of the tape's one info_nce op."""
+    (op,) = [op for op in tape.ops if op.kind == "info_nce"]
+    (rows,) = {t.shape[0] for t in op.inputs}
+    return rows
+
+
+def node_loss_and_grads(loss_fn, h0, hh0, tau):
+    ad.reset_tape()
+    h = ad.Tensor(h0, requires_grad=True)
+    hh = ad.Tensor(hh0, requires_grad=True)
+    loss = loss_fn(h, hh, tau)
+    ad.backward(loss)
+    return loss.item, h.grad, hh.grad
 
 
 def small_setup(rng, n=20, num_features=4, out=5, p=0.3):
@@ -228,23 +277,83 @@ class TestNodeLoss:
                         loss_node(hh, h, 0.8).item, rtol=1e-12)
 
     def test_three_square_similarity_buffers(self, rng):
-        # one normalization per view, and the cross matrix serves both
-        # directions: matmul and exp for each of cross, intra-h, intra-h_hat
+        # one normalization per view feeds one fused op, and no (S, S)
+        # matrix reaches the tape
         h = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
         hh = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
         tape = ad.reset_tape()
         loss_node(h, hh, 0.7)
-        square = [op.kind for op in tape.ops if op.output.shape == (9, 9)]
-        assert sorted(square) == ["exp"] * 3 + ["matmul"] * 3
+        assert info_nce_rows(tape) == 9
         normalized = [op.inputs[0] for op in tape.ops
                       if op.kind == "l2_normalize_rows"]
         assert len(normalized) == 2
         assert normalized[0] is h and normalized[1] is hh
+        assert square_outputs(tape) == []
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="differ"):
             loss_node(ad.constant(rng.standard_normal((4, 3))),
                       ad.constant(rng.standard_normal((5, 3))), 1.0)
+
+
+BLOCK = 16  # rows per block of the fused node loss in the tests below
+
+
+def assert_matches_reference(h, hh, tau):
+    want, *want_grads = node_loss_and_grads(shared_matrix_reference, h, hh,
+                                            tau)
+    got, *got_grads = node_loss_and_grads(loss_node, h, hh, tau)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for g, w in zip(got_grads, want_grads):
+        assert_allclose(g, w, rtol=0.0,
+                        atol=1e-12 * max(1.0, np.abs(w).max()))
+
+
+class TestFusedNodeLoss:
+    @pytest.mark.parametrize("tau", [0.4, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [3, 128])
+    @pytest.mark.parametrize("s", [1, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+    def test_matches_shared_matrix_reference(self, s, d, tau, rng,
+                                             monkeypatch):
+        # BLOCK-row blocks: one short block, one exact block, and two full
+        # blocks plus a remainder
+        monkeypatch.setattr(ad, "NCE_BLOCK_ENTRIES", BLOCK * s)
+        assert_matches_reference(rng.standard_normal((s, d)),
+                                 rng.standard_normal((s, d)), tau)
+
+    def test_zero_row_matches_reference(self, rng, monkeypatch):
+        # a row below NORM_EPS normalizes to zero: all its similarities are 1
+        s = 2 * BLOCK + 7
+        monkeypatch.setattr(ad, "NCE_BLOCK_ENTRIES", BLOCK * s)
+        h, hh = rng.standard_normal((s, 3)), rng.standard_normal((s, 3))
+        h[BLOCK] = 0.0
+        hh[3] = 0.0
+        assert_matches_reference(h, hh, 1.0)
+
+    def test_module_block_size_matches_reference(self, rng):
+        # 1100 rows: a block of 2**20 // 1100 = 953 rows and one of 147
+        assert_matches_reference(rng.standard_normal((1100, 8)),
+                                 rng.standard_normal((1100, 8)), 0.5)
+
+    def test_overflow_raises(self, rng):
+        # identical views put exp(1 / tau) = exp(1000) on the cross diagonal
+        h = rng.standard_normal((6, 4))
+        with pytest.raises(ArithmeticError, match=r"^info_nce: non-finite"):
+            loss_node(ad.constant(h), ad.constant(h.copy()), 1e-3)
+
+    def test_memory_below_one_square_buffer(self, rng):
+        s = 2048
+        h = ad.Tensor(rng.standard_normal((s, 8)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((s, 8)), requires_grad=True)
+        ad.reset_tape()
+        tracemalloc.start()
+        try:
+            ad.backward(loss_node(h, hh, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.grad is not None and hh.grad is not None
+        assert peak < s * s * 8
 
 
 class TestNodeLossV2:
@@ -274,22 +383,18 @@ class TestNodeLossV2:
         union = np.array([1, 4, 9, 13, 22, 31, 40, 44])
         tape = ad.reset_tape()
         loss_node_v2(h, hh, union, 1.0)
-        square_rows = [op.output.shape[0] for op in tape.ops
-                       if op.output.shape[0] == op.output.shape[1]
-                       and op.output.shape[0] > 1]
-        assert square_rows and max(square_rows) == union.size
+        assert info_nce_rows(tape) == union.size
+        assert square_outputs(tape) == []
 
     def test_duplicates_kept_as_multiset(self, rng):
-        # a repeated index keeps its own row so buffer size is exactly
+        # a repeated index keeps its own row, so the loss runs over exactly
         # the number of sampled slots, independent of overlap
         h = ad.Tensor(rng.standard_normal((10, 4)), requires_grad=True)
         hh = ad.Tensor(rng.standard_normal((10, 4)), requires_grad=True)
         tape = ad.reset_tape()
         loss_node_v2(h, hh, [3, 5, 3, 7, 5], 1.0)
-        square_rows = [op.output.shape[0] for op in tape.ops
-                       if op.output.shape[0] == op.output.shape[1]
-                       and op.output.shape[0] > 1]
-        assert max(square_rows) == 5
+        assert info_nce_rows(tape) == 5
+        assert square_outputs(tape) == []
 
     def test_batch_union_collects_view_indices(self, rng):
         g, gt, model = small_setup(rng)
