@@ -44,11 +44,6 @@ class GraphSupport:
         return int(self.indices.size)
 
     @classmethod
-    def identity(cls, n: int) -> "GraphSupport":
-        """Self-attention only: each node attends to itself."""
-        return cls(n, np.arange(n + 1), np.arange(n))
-
-    @classmethod
     def from_sparse(cls, matrix, add_self_loops: bool = True) -> "GraphSupport":
         """Support from the nonzero pattern of a sparse matrix.
 

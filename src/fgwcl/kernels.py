@@ -12,10 +12,23 @@ change between its consecutive iterates drops to eps. BAPG solves a
 relaxation, so that point is only approximately feasible (Li et al.,
 ICLR 2023).
 
+Each half-step shifts logP by its exact max along the rescaled axis (per
+row, or per column) and takes one exp of the shifted values; the plan is
+that exp times marginal / sum, and logP the shifted values plus the log
+of that factor. Row and column sums, and the squared Frobenius change,
+are BLAS matrix-vector products over the whole stack, not numpy
+reductions over short axes. The terms of G that a half-step's starting
+marginals fix (C2 o C2 nu in a row step, C1 o C1 mu in a column step) are
+computed once; only the first row step, from P0, sums P0's columns. Work
+stacks are reused across iterations.
+
 Status codes returned by the bapg kernels: 0 converged, 1 hit the
-iteration cap, 2 non-finite values (the iteration count is then the
-iteration that produced them), 3 stationary with a row residual above
-eps, measured on the returned plan (its columns are exact).
+iteration cap, 2 non-finite values, 3 stationary with a row residual
+above eps, measured on the returned plan (its columns are exact). A
+non-finite value in either half-step of an iteration makes that
+iteration's Frobenius change non-finite, the one finiteness test per
+iteration; the problem then reports that iteration and stores its plan
+as of the end of it, which holds NaN.
 """
 
 from __future__ import annotations
@@ -31,23 +44,16 @@ STATUS_NON_FINITE = 2
 STATUS_STATIONARY_INFEASIBLE = 3
 
 
-def _tensor_product(C1m2, C1sq, C2T, C2sq, P):
-    """(L tensor P) from C1m2 = -2 C1, the squares C1 o C1 and C2 o C2,
-    and C2^T. Every argument is a matrix or a stack of matrices; scaling
-    all four cost arguments by s scales the result by s."""
-    rows = C1sq @ P.sum(axis=-1)[..., None]
-    cols = C2sq @ P.sum(axis=-2)[..., None]
-    return rows + np.swapaxes(cols, -1, -2) + C1m2 @ P @ C2T
-
-
 def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
                          P: np.ndarray) -> np.ndarray:
     """Factorized (L tensor P) for the squared loss L_ijkl=(C1_ik-C2_jl)^2:
     (C1 o C1) p 1^T + 1 q^T (C2 o C2)^T - 2 C1 P C2^T with p=P1, q=P^T 1.
     Takes one (n, m) problem or a (B, n, m) stack of them.
     """
-    return _tensor_product(-2.0 * C1, C1 * C1, np.swapaxes(C2, -1, -2),
-                           C2 * C2, P)
+    rows = (C1 * C1) @ P.sum(axis=-1)[..., None]
+    cols = (C2 * C2) @ P.sum(axis=-2)[..., None]
+    return rows + np.swapaxes(cols, -1, -2) - 2.0 * C1 @ P @ np.swapaxes(
+        C2, -1, -2)
 
 
 def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
@@ -59,73 +65,101 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     own Frobenius change; the live stack is compacted only on iterations
     where some problem stops or turns non-finite.
     """
+    B, n, m = M.shape
     plans = np.empty(M.shape)
-    iters = np.empty(M.shape[0], dtype=np.int64)
+    iters = np.empty(B, dtype=np.int64)
     status = np.empty_like(iters)
-    live = np.arange(M.shape[0])
+    live = np.arange(B)
     # loop invariants: the linear cost over beta, the structure costs
     # scaled so that the tensor product comes out as 2(1-alpha)/beta
-    # (L tensor P), and the log marginals
+    # (L tensor P), and the marginals shaped to broadcast along a row
+    # (mu) or a column (nu)
     aM = alpha * M / beta
     step = 2.0 * (1.0 - alpha) / beta
     C1m2, C1sq, C2sq = (-2.0 * step) * C1, step * (C1 * C1), step * (C2 * C2)
     C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
-    logmu = np.log(mu)[:, :, None]
-    lognu = np.log(nu)[:, None, :]
+    mu = np.asarray(mu, dtype=np.float64)[:, :, None]
+    nu = np.asarray(nu, dtype=np.float64)[:, None, :]
+    ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
     P = np.array(P0, dtype=np.float64)
     logP = np.log(P)
+    # work stacks, sliced down with the live stack: the next iterate, the
+    # gradient and a scratch product
+    Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
+
+    def row_sums(X):
+        """X 1 as an (L, n, 1) stack."""
+        return (X.reshape(-1, m) @ ones_m).reshape(-1, n, 1)
+
+    def col_sums(X):
+        """1^T X as an (L, 1, m) stack."""
+        return ones_n @ X
+
+    def col_term(q):
+        """(C2sq q)^T for an (L, 1, m) stack of column sums q."""
+        return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
+
+    def half_step(X, out, varying, fixed, axis, marginal):
+        """One Bregman projection from the plan X into `out` (which may be
+        X): logP -= G with G = C1m2 X C2T + varying + fixed, then rescale
+        along `axis` (2: rows to mu, 1: columns to nu)."""
+        np.matmul(C1m2, X, out=T)
+        np.matmul(T, C2T, out=G)
+        np.add(G, varying, out=G)
+        np.add(G, fixed, out=G)
+        np.subtract(logP, G, out=logP)
+        np.subtract(logP, logP.max(axis=axis, keepdims=True), out=logP)
+        np.exp(logP, out=out)
+        scale = marginal / (row_sums(out) if axis == 2 else col_sums(out))
+        np.multiply(out, scale, out=out)
+        np.add(logP, np.log(scale), out=logP)
 
     def retire(keep, code, it, normalize):
         """Store the problems not in `keep` as finished; shrink the stack."""
-        nonlocal live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu, mu, nu, P, logP
+        nonlocal live, C1m2, C1sq, C2T, C2sq, mu, nu, P, logP, Q, G, T, \
+            row_fixed, col_fixed
         gone = ~keep
         done = live[gone]
         out = P[gone]
         if normalize:
-            out = out * (nu[gone] / out.sum(axis=1))[:, None, :]
+            out *= nu[gone] / out.sum(axis=1, keepdims=True)
         plans[done] = out
         iters[done] = it
         if code == STATUS_CONVERGED:
-            residual = np.abs(out.sum(axis=2) - mu[gone]).max(axis=1)
+            residual = np.abs(out.sum(axis=2) - mu[gone, :, 0]).max(axis=1)
             code = np.where(residual > eps, STATUS_STATIONARY_INFEASIBLE,
                             code)
         status[done] = code
-        live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu, mu, nu, P, logP = (
-            a[keep] for a in (live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu,
-                              mu, nu, P, logP))
+        (live, C1m2, C1sq, C2T, C2sq, mu, nu, P, logP, row_fixed,
+         col_fixed) = (a[keep] for a in (live, C1m2, C1sq, C2T, C2sq, mu,
+                                         nu, P, logP, row_fixed, col_fixed))
+        Q, G, T = Q[:live.size], G[:live.size], T[:live.size]
 
-    # non-finite inputs surface through the isfinite checks, not through
-    # numpy warnings
+    # a row step starts from a plan whose columns sum to nu, and a column
+    # step from one whose rows sum to mu, so the column term of a row
+    # step's G and the row term of a column step's G are fixed; only the
+    # first row step starts from P0, whose columns are not nu
+    row_fixed = aM + col_term(col_sums(P))
+    col_fixed = aM + C1sq @ mu
+    # a non-finite value surfaces as a non-finite Frobenius change, not
+    # through numpy warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iters + 1):
-            P_prev = P
-            # row step: multiplicative update, rows rescaled to mu
-            logP = logP - (aM + _tensor_product(C1m2, C1sq, C2T, C2sq, P))
-            row_max = logP.max(axis=2, keepdims=True)
-            lse = row_max + np.log(np.exp(logP - row_max).sum(axis=2,
-                                                              keepdims=True))
-            logP = logP + (logmu - lse)
-            P = np.exp(logP)
-            if not np.isfinite(P).all():
-                keep = np.isfinite(P).all(axis=(1, 2))
-                retire(keep, STATUS_NON_FINITE, it, False)
+            half_step(P, Q, C1sq @ row_sums(P), row_fixed, 2, mu)
+            half_step(Q, Q, col_term(col_sums(Q)), col_fixed, 1, nu)
+            if it == 1:
+                # before any problem retires, so aM needs no compaction
+                row_fixed = aM + col_term(nu)
+            np.subtract(Q, P, out=T)
+            T *= T
+            delta = np.sqrt(T.reshape(live.size, -1) @ ones_nm)
+            P, Q = Q, P
+            finite = np.isfinite(delta)
+            if not finite.all():
+                retire(finite, STATUS_NON_FINITE, it, False)
                 if not live.size:
                     break
-                P_prev = P_prev[keep]
-            # column step: same gradient at the half-step point, columns to nu
-            logP = logP - (aM + _tensor_product(C1m2, C1sq, C2T, C2sq, P))
-            col_max = logP.max(axis=1, keepdims=True)
-            lse = col_max + np.log(np.exp(logP - col_max).sum(axis=1,
-                                                              keepdims=True))
-            logP = logP + (lognu - lse)
-            P = np.exp(logP)
-            if not np.isfinite(P).all():
-                keep = np.isfinite(P).all(axis=(1, 2))
-                retire(keep, STATUS_NON_FINITE, it, False)
-                if not live.size:
-                    break
-                P_prev = P_prev[keep]
-            delta = np.sqrt(((P - P_prev) ** 2).sum(axis=(1, 2)))
+                delta = delta[finite]
             stop = delta <= eps
             if stop.any():
                 retire(~stop, STATUS_CONVERGED, it, True)

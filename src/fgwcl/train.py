@@ -5,13 +5,15 @@ Each epoch runs encode -> generate/fuse -> sample -> transport loss ->
 node and fusion losses -> backward and two Adam updates (one state for
 encoder+generator weights, one for the shared fusion MLP). One JSON
 metrics line is appended and flushed per epoch, so every prefix of the
-stream is valid line-delimited JSON.
+stream is valid line-delimited JSON. Each line carries the losses, the
+solver telemetry, the phase times and the process's peak RSS so far.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +163,9 @@ def _record(epoch: int, breakdown: LossBreakdown, times: dict) -> dict:
     for phase in PHASES:
         rec[f"time_{phase}_ms"] = round(times.get(phase, 0.0) * 1e3, 4)
     rec["time_epoch_ms"] = round(times.get("epoch", 0.0) * 1e3, 4)
+    # the process's peak resident set so far; ru_maxrss is in KiB on Linux
+    rec["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024
     return rec
 
 

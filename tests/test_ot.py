@@ -80,6 +80,125 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
+def _reference_tensor_product(C1m2, C1sq, C2T, C2sq, P):
+    rows = C1sq @ P.sum(axis=-1)[..., None]
+    cols = C2sq @ P.sum(axis=-2)[..., None]
+    return rows + np.swapaxes(cols, -1, -2) + C1m2 @ P @ C2T
+
+
+def reference_bapg_batch(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
+    """Straightforward stacked BAPG, the reference for bapg_batch_numpy:
+    the full gradient and numpy reductions in every half-step, two exps
+    and a full-stack finiteness scan per half-step, fresh arrays every
+    step. A problem that turns non-finite stores the half-step plan that
+    did so."""
+    plans = np.empty(M.shape)
+    iters = np.empty(M.shape[0], dtype=np.int64)
+    status = np.empty_like(iters)
+    live = np.arange(M.shape[0])
+    aM = alpha * M / beta
+    step = 2.0 * (1.0 - alpha) / beta
+    C1m2, C1sq, C2sq = (-2.0 * step) * C1, step * (C1 * C1), step * (C2 * C2)
+    C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
+    logmu = np.log(mu)[:, :, None]
+    lognu = np.log(nu)[:, None, :]
+    P = np.array(P0, dtype=np.float64)
+    logP = np.log(P)
+
+    def retire(keep, code, it, normalize):
+        nonlocal live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu, mu, nu, P, logP
+        gone = ~keep
+        done = live[gone]
+        out = P[gone]
+        if normalize:
+            out = out * (nu[gone] / out.sum(axis=1))[:, None, :]
+        plans[done] = out
+        iters[done] = it
+        if code == STATUS_CONVERGED:
+            residual = np.abs(out.sum(axis=2) - mu[gone]).max(axis=1)
+            code = np.where(residual > eps, STATUS_STATIONARY_INFEASIBLE,
+                            code)
+        status[done] = code
+        live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu, mu, nu, P, logP = (
+            a[keep] for a in (live, aM, C1m2, C1sq, C2T, C2sq, logmu, lognu,
+                              mu, nu, P, logP))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, max_iters + 1):
+            P_prev = P
+            logP = logP - (aM + _reference_tensor_product(C1m2, C1sq, C2T,
+                                                          C2sq, P))
+            row_max = logP.max(axis=2, keepdims=True)
+            lse = row_max + np.log(np.exp(logP - row_max).sum(axis=2,
+                                                              keepdims=True))
+            logP = logP + (logmu - lse)
+            P = np.exp(logP)
+            if not np.isfinite(P).all():
+                keep = np.isfinite(P).all(axis=(1, 2))
+                retire(keep, STATUS_NON_FINITE, it, False)
+                if not live.size:
+                    break
+                P_prev = P_prev[keep]
+            logP = logP - (aM + _reference_tensor_product(C1m2, C1sq, C2T,
+                                                          C2sq, P))
+            col_max = logP.max(axis=1, keepdims=True)
+            lse = col_max + np.log(np.exp(logP - col_max).sum(axis=1,
+                                                              keepdims=True))
+            logP = logP + (lognu - lse)
+            P = np.exp(logP)
+            if not np.isfinite(P).all():
+                keep = np.isfinite(P).all(axis=(1, 2))
+                retire(keep, STATUS_NON_FINITE, it, False)
+                if not live.size:
+                    break
+                P_prev = P_prev[keep]
+            delta = np.sqrt(((P - P_prev) ** 2).sum(axis=(1, 2)))
+            stop = delta <= eps
+            if stop.any():
+                retire(~stop, STATUS_CONVERGED, it, True)
+                if not live.size:
+                    break
+    if live.size:
+        retire(np.zeros(live.size, dtype=bool), STATUS_MAX_ITERS, max_iters,
+               True)
+    return plans, iters, status
+
+
+def mixed_stack(rng, n, m):
+    """Seven (n, m) problems for one BAPG call at alpha=0.5, beta=1,
+    eps=1e-6 and 150 iterations. Problem 0 has constant costs, so G is
+    constant and the iteration is Sinkhorn scaling of P0: it converges.
+    Problem 1 weights its linear cost by 5; 3 has a row of M at inf, so
+    the row step of iteration 1 turns it non-finite; 4 has a column of M
+    at inf, which the row step absorbs as zeros and the column step of
+    iteration 1 turns non-finite. The rest are bounded random instances.
+    Returns the kernel's positional arguments."""
+    M, C1, C2 = [], [], []
+    for kind in range(7):
+        c = bounded_costs(rng, n, m)
+        Mk, C1k, C2k = c.M.data, c.C1.data, c.C2.data
+        if kind == 0:
+            Mk, C1k, C2k = np.ones((n, m)), np.ones((n, n)), np.ones((m, m))
+        elif kind == 1:
+            Mk = 5.0 * Mk
+        elif kind == 3:
+            Mk[0] = np.inf
+        elif kind == 4:
+            Mk[:, 0] = np.inf
+        elif kind == 5:
+            C1k, C2k = 3.0 * C1k, 3.0 * C2k
+        elif kind == 6:
+            Mk = 0.1 * Mk
+        M.append(Mk)
+        C1.append(C1k)
+        C2.append(C2k)
+    mu = np.tile(uniform(n), (7, 1))
+    nu = np.tile(uniform(m), (7, 1))
+    P0 = ot.initial_plan(mu, nu, ot.FgwConfig(alpha=0.5))
+    return (np.array(M), np.array(C1), np.array(C2), mu, nu, 0.5, 1.0, 150,
+            1e-6, P0)
+
+
 class TestTensorProduct:
     def test_matches_naive_quadruple_loop(self, rng):
         for _ in range(10):
@@ -412,6 +531,50 @@ class TestBapgBatch:
                 nu[i:i + 1], *args, P0[i:i + 1])
             assert_allclose(P[i], solo[0], rtol=0, atol=1e-12)
             assert (iters[i], status[i]) == (it[0], code[0])
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 4), (12, 12), (9, 7)])
+    def test_matches_reference_iteration(self, rng, n, m):
+        args = mixed_stack(rng, n, m)
+        P_ref, it_ref, code_ref = reference_bapg_batch(*args)
+        assert code_ref[3] == code_ref[4] == STATUS_NON_FINITE
+        if n > 1:
+            assert set(code_ref.tolist()) == {
+                STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_NON_FINITE,
+                STATUS_STATIONARY_INFEASIBLE}
+            # the reference stops at the half-step that went non-finite:
+            # the row step for problem 3, the column step for problem 4
+            assert np.isnan(P_ref[3]).any(axis=1).tolist() == (
+                [True] + [False] * (n - 1))
+            assert np.isnan(P_ref[4]).any(axis=0).tolist() == (
+                [True] + [False] * (m - 1))
+        # the whole stack (B=7), then each problem alone (B=1)
+        cases = [(args, slice(None))] + [
+            (tuple(a[b:b + 1] if isinstance(a, np.ndarray) else a
+                   for a in args), slice(b, b + 1)) for b in range(7)]
+        for stack, part in cases:
+            P, it, code = bapg_batch_numpy(*stack)
+            assert it.tolist() == it_ref[part].tolist()
+            assert code.tolist() == code_ref[part].tolist()
+            finite = code != STATUS_NON_FINITE
+            assert_allclose(P[finite], P_ref[part][finite], rtol=0,
+                            atol=1e-12)
+            # a non-finite problem reports the iteration that went
+            # non-finite and stores its plan as of the end of it
+            assert np.isnan(P[~finite]).any(axis=(1, 2)).all()
+
+    def test_leaves_inputs_and_outputs_independent(self, rng):
+        args = mixed_stack(rng, 5, 4)
+        before = [np.copy(a) for a in args]
+        first = bapg_batch_numpy(*args)
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b, equal_nan=True)
+        kept = [np.copy(a) for a in first]
+        for a in first:
+            a[...] = -1
+        second = bapg_batch_numpy(*args)
+        for a, b, c in zip(second, kept, first):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert (c == -1).all()
 
     def test_overflow_in_batch_raises_with_iteration(self, rng):
         M, C1, C2, mu, nu = self._stack(rng, 3, 3, 3)

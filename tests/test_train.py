@@ -123,6 +123,17 @@ class TestTrainLoop:
             assert 0.0 <= rec["ot_infeasible_share"] <= 1.0
             assert 0.0 <= rec["ot_row_residual_max"] <= 1.0
 
+    def test_peak_rss_in_every_record(self, tmp_path):
+        cfg = tiny_config(epochs=3)
+        result = train(cfg, tiny_graph(), tmp_path / "run")
+        summary = json.loads(result.summary_path.read_text())
+        records = load_metrics(result.metrics_path)
+        peaks = [rec["peak_rss_mb"] for rec in records]
+        assert len(peaks) == cfg.epochs
+        assert all(p > 0.0 for p in peaks)
+        assert peaks == sorted(peaks)
+        assert summary["final"]["peak_rss_mb"] == peaks[-1]
+
 
 class TestHelpers:
     def test_epoch_seed_distinct_streams(self):
