@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +301,14 @@ class TestNodeLoss:
 BLOCK = 16  # rows per block of the fused node loss in the tests below
 
 
+def use_block_rows(monkeypatch, s, d):
+    """Patch the block-size constant so that (s, d) views split into
+    BLOCK-row blocks (one block when s <= BLOCK)."""
+    monkeypatch.setattr(ad, "NCE_BLOCK_ENTRIES_PER_DIM",
+                        Fraction(BLOCK * s, d))
+    assert ad.nce_block_rows(s, d) == min(BLOCK, s)
+
+
 def assert_matches_reference(h, hh, tau):
     want, *want_grads = node_loss_and_grads(shared_matrix_reference, h, hh,
                                             tau)
@@ -312,34 +322,88 @@ def assert_matches_reference(h, hh, tau):
 class TestFusedNodeLoss:
     @pytest.mark.parametrize("tau", [0.4, 1.0, 2.0])
     @pytest.mark.parametrize("d", [3, 128])
-    @pytest.mark.parametrize("s", [1, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("s", [1, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 7,
+                                   BLOCK + 1, 3 * BLOCK])
     def test_matches_shared_matrix_reference(self, s, d, tau, rng,
                                              monkeypatch):
-        # BLOCK-row blocks: one short block, one exact block, and two full
-        # blocks plus a remainder
-        monkeypatch.setattr(ad, "NCE_BLOCK_ENTRIES", BLOCK * s)
+        # BLOCK-row blocks: one short block, one exact block, two full
+        # blocks plus a remainder, a last block of one row (a 1x1 triangle
+        # tile), and an exact multiple of blocks
+        use_block_rows(monkeypatch, s, d)
         assert_matches_reference(rng.standard_normal((s, d)),
                                  rng.standard_normal((s, d)), tau)
 
     def test_zero_row_matches_reference(self, rng, monkeypatch):
         # a row below NORM_EPS normalizes to zero: all its similarities are 1
         s = 2 * BLOCK + 7
-        monkeypatch.setattr(ad, "NCE_BLOCK_ENTRIES", BLOCK * s)
+        use_block_rows(monkeypatch, s, 3)
         h, hh = rng.standard_normal((s, 3)), rng.standard_normal((s, 3))
         h[BLOCK] = 0.0
         hh[3] = 0.0
         assert_matches_reference(h, hh, 1.0)
 
     def test_module_block_size_matches_reference(self, rng):
-        # 1100 rows: a block of 2**20 // 1100 = 953 rows and one of 147
+        # 1100 rows at d = 8: blocks of 2**13 * 8 // 1100 = 59 rows,
+        # eighteen full ones and a last one of 38
         assert_matches_reference(rng.standard_normal((1100, 8)),
                                  rng.standard_normal((1100, 8)), 0.5)
+
+    def test_module_block_size_wide_matches_reference(self, rng):
+        # 1100 rows at d = 128: a block of 2**13 * 128 // 1100 = 953 rows
+        # and one of 147
+        assert ad.nce_block_rows(1100, 128) == 953
+        assert_matches_reference(rng.standard_normal((1100, 128)),
+                                 rng.standard_normal((1100, 128)), 0.5)
+
+    def test_exponentiates_triangle_tiles(self, rng, monkeypatch):
+        # each pass exponentiates the full cross matrix and, for both
+        # intra-view matrices, only the columns j >= i0 of each row block
+        s = 2 * BLOCK + 7
+        use_block_rows(monkeypatch, s, 3)
+        counted = []
+        exp_block = ad._exp_block
+
+        def counting(*args):
+            e = exp_block(*args)
+            counted.append(e.size)
+            return e
+
+        monkeypatch.setattr(ad, "_exp_block", counting)
+        h = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        ad.reset_tape()
+        loss = loss_node(h, hh, 1.0)
+        forward = sum(counted)
+        counted.clear()
+        ad.backward(loss)
+        tiles = sum(min(BLOCK, s - i0) * (s - i0)
+                    for i0 in range(0, s, BLOCK))
+        assert forward == sum(counted) == s * s + 2 * tiles
 
     def test_overflow_raises(self, rng):
         # identical views put exp(1 / tau) = exp(1000) on the cross diagonal
         h = rng.standard_normal((6, 4))
         with pytest.raises(ArithmeticError, match=r"^info_nce: non-finite"):
             loss_node(ad.constant(h), ad.constant(h.copy()), 1e-3)
+
+    def test_overflow_in_off_diagonal_tile_raises(self, monkeypatch):
+        # orthonormal rows, except that rows 2 and 5 (block 0) each lie at
+        # angle theta from row 40 (block 2): u[2, 40] and u[5, 40] are
+        # finite, but their sum, which reaches r[40] only as a column sum
+        # of block 0's tile, overflows; every row sum stays finite
+        s, d = 3 * BLOCK, 128
+        use_block_rows(monkeypatch, s, d)
+        inv_tau, cos = 709.7, 0.99925
+        big = math.exp(inv_tau * cos)
+        mid = math.exp(inv_tau * (2 * cos * cos - 1))
+        assert big + big == math.inf and big + mid + 2 * s < math.inf
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((d, d)))[0]
+        h, hh = q[:s].copy(), q[s:2 * s]
+        sin = math.sqrt(1 - cos * cos)
+        h[2] = cos * q[40] + sin * q[2 * s]
+        h[5] = cos * q[40] - sin * q[2 * s]
+        with pytest.raises(ArithmeticError, match=r"^info_nce: non-finite"):
+            loss_node(ad.constant(h), ad.constant(hh), 1 / inv_tau)
 
     def test_memory_below_one_square_buffer(self, rng):
         s = 2048
