@@ -213,14 +213,9 @@ def homophily(g: Graph) -> float:
     """Mean over non-isolated nodes of the same-label neighbor fraction."""
     if g.labels is None:
         raise ValueError("homophily requires labels")
-    adj = g.adjacency
     deg = g.degrees()
-    same = np.zeros(g.n)
-    y = g.labels
-    for u, v in g.edges:
-        if y[u] == y[v]:
-            same[u] += 1
-            same[v] += 1
+    y = g.labels[g.edges]
+    same = np.bincount(g.edges[y[:, 0] == y[:, 1]].ravel(), minlength=g.n)
     mask = deg > 0
     if not mask.any():
         raise ValueError("homophily undefined: all nodes isolated")

@@ -17,18 +17,24 @@ row, or per column) and takes one exp of the shifted values; the plan is
 that exp times marginal / sum, and logP the shifted values plus the log
 of that factor. Row and column sums, and the squared Frobenius change,
 are BLAS matrix-vector products over the whole stack, not numpy
-reductions over short axes. The terms of G that a half-step's starting
-marginals fix (C2 o C2 nu in a row step, C1 o C1 mu in a column step) are
-computed once; only the first row step, from P0, sums P0's columns. Work
-stacks are reused across iterations.
+reductions over short axes. Work stacks are reused across iterations.
+
+(L tensor P) = (C1 o C1) P1 1^T + 1 (P^T 1)^T (C2 o C2)^T - 2 C1 P C2^T.
+The first term is constant along each row and the second along each
+column, so a row step omits the first and a column step the second: the
+rescale that follows cancels each exactly. The term a step keeps is
+fixed by its starting marginals (C2 o C2 nu, C1 o C1 mu) and computed
+once; only the first row step, from P0, sums P0's columns.
 
 Status codes returned by the bapg kernels: 0 converged, 1 hit the
 iteration cap, 2 non-finite values, 3 stationary with a row residual
-above eps, measured on the returned plan (its columns are exact). A
+above eps, measured on the returned plan (its columns sum to nu). A
 non-finite value in either half-step of an iteration makes that
 iteration's Frobenius change non-finite, the one finiteness test per
 iteration; the problem then reports that iteration and stores its plan
-as of the end of it, which holds NaN.
+as of the end of it, which holds NaN. An overflow in C1 o C1 or C2 o C2
+meets a positive marginal in a kept term, so it too ends as NaN, by
+iteration 2; overflow in the setup raises no numpy warning.
 """
 
 from __future__ import annotations
@@ -70,22 +76,7 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     iters = np.empty(B, dtype=np.int64)
     status = np.empty_like(iters)
     live = np.arange(B)
-    # loop invariants: the linear cost over beta, the structure costs
-    # scaled so that the tensor product comes out as 2(1-alpha)/beta
-    # (L tensor P), and the marginals shaped to broadcast along a row
-    # (mu) or a column (nu)
-    aM = alpha * M / beta
-    step = 2.0 * (1.0 - alpha) / beta
-    C1m2, C1sq, C2sq = (-2.0 * step) * C1, step * (C1 * C1), step * (C2 * C2)
-    C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
-    mu = np.asarray(mu, dtype=np.float64)[:, :, None]
-    nu = np.asarray(nu, dtype=np.float64)[:, None, :]
     ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
-    P = np.array(P0, dtype=np.float64)
-    logP = np.log(P)
-    # work stacks, sliced down with the live stack: the next iterate, the
-    # gradient and a scratch product
-    Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
 
     def row_sums(X):
         """X 1 as an (L, n, 1) stack."""
@@ -99,13 +90,12 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         """(C2sq q)^T for an (L, 1, m) stack of column sums q."""
         return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
 
-    def half_step(X, out, varying, fixed, axis, marginal):
+    def half_step(X, out, fixed, axis, marginal):
         """One Bregman projection from the plan X into `out` (which may be
-        X): logP -= G with G = C1m2 X C2T + varying + fixed, then rescale
-        along `axis` (2: rows to mu, 1: columns to nu)."""
+        X): logP -= G with G = C1m2 X C2T + fixed, then rescale along `axis`
+        (2: rows to mu, 1: columns to nu), which cancels G's omitted term."""
         np.matmul(C1m2, X, out=T)
         np.matmul(T, C2T, out=G)
-        np.add(G, varying, out=G)
         np.add(G, fixed, out=G)
         np.subtract(logP, G, out=logP)
         np.subtract(logP, logP.max(axis=axis, keepdims=True), out=logP)
@@ -114,15 +104,13 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         np.multiply(out, scale, out=out)
         np.add(logP, np.log(scale), out=logP)
 
-    def retire(keep, code, it, normalize):
+    def retire(keep, code, it):
         """Store the problems not in `keep` as finished; shrink the stack."""
-        nonlocal live, C1m2, C1sq, C2T, C2sq, mu, nu, P, logP, Q, G, T, \
-            row_fixed, col_fixed
+        nonlocal live, C1m2, C2T, mu, nu, P, logP, Q, G, T, row_fixed, \
+            col_fixed
         gone = ~keep
         done = live[gone]
         out = P[gone]
-        if normalize:
-            out *= nu[gone] / out.sum(axis=1, keepdims=True)
         plans[done] = out
         iters[done] = it
         if code == STATUS_CONVERGED:
@@ -130,25 +118,39 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
             code = np.where(residual > eps, STATUS_STATIONARY_INFEASIBLE,
                             code)
         status[done] = code
-        (live, C1m2, C1sq, C2T, C2sq, mu, nu, P, logP, row_fixed,
-         col_fixed) = (a[keep] for a in (live, C1m2, C1sq, C2T, C2sq, mu,
-                                         nu, P, logP, row_fixed, col_fixed))
+        live, C1m2, C2T, mu, nu, P, logP, row_fixed, col_fixed = (
+            a[keep] for a in (live, C1m2, C2T, mu, nu, P, logP, row_fixed,
+                              col_fixed))
         Q, G, T = Q[:live.size], G[:live.size], T[:live.size]
 
-    # a row step starts from a plan whose columns sum to nu, and a column
-    # step from one whose rows sum to mu, so the column term of a row
-    # step's G and the row term of a column step's G are fixed; only the
-    # first row step starts from P0, whose columns are not nu
-    row_fixed = aM + col_term(col_sums(P))
-    col_fixed = aM + C1sq @ mu
-    # a non-finite value surfaces as a non-finite Frobenius change, not
-    # through numpy warnings
+    # a non-finite value, from the setup or from the loop, surfaces as a
+    # non-finite Frobenius change, not through numpy warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # loop invariants: the linear cost over beta, the structure costs
+        # scaled so that the tensor product comes out as 2(1-alpha)/beta
+        # (L tensor P), and the marginals shaped to broadcast along a row
+        # (mu) or a column (nu)
+        aM = alpha * M / beta
+        step = 2.0 * (1.0 - alpha) / beta
+        C1m2, C2sq = (-2.0 * step) * C1, step * (C2 * C2)
+        C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
+        mu = np.asarray(mu, dtype=np.float64)[:, :, None]
+        nu = np.asarray(nu, dtype=np.float64)[:, None, :]
+        P = np.array(P0, dtype=np.float64)
+        logP = np.log(P)
+        # work stacks, sliced down with the live stack: the next iterate,
+        # the gradient and a scratch product
+        Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
+        # a row step starts from columns summing to nu and a column step
+        # from rows summing to mu, which fixes the terms they keep; only
+        # the first row step starts from P0, whose columns are not nu. All
+        # are built by the end of iteration 1, so C2sq is never compacted
+        row_fixed = aM + col_term(col_sums(P))
+        col_fixed = aM + (step * (C1 * C1)) @ mu
         for it in range(1, max_iters + 1):
-            half_step(P, Q, C1sq @ row_sums(P), row_fixed, 2, mu)
-            half_step(Q, Q, col_term(col_sums(Q)), col_fixed, 1, nu)
+            half_step(P, Q, row_fixed, 2, mu)
+            half_step(Q, Q, col_fixed, 1, nu)
             if it == 1:
-                # before any problem retires, so aM needs no compaction
                 row_fixed = aM + col_term(nu)
             np.subtract(Q, P, out=T)
             T *= T
@@ -156,21 +158,19 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
             P, Q = Q, P
             finite = np.isfinite(delta)
             if not finite.all():
-                retire(finite, STATUS_NON_FINITE, it, False)
+                retire(finite, STATUS_NON_FINITE, it)
                 if not live.size:
                     break
                 delta = delta[finite]
             stop = delta <= eps
             if stop.any():
-                retire(~stop, STATUS_CONVERGED, it, True)
+                retire(~stop, STATUS_CONVERGED, it)
                 if not live.size:
                     break
     if live.size:
-        # the capped problems; force exact column marginals (the loop's
-        # last operation is already a column rescale; this removes the
-        # residual rounding)
-        retire(np.zeros(live.size, dtype=bool), STATUS_MAX_ITERS, max_iters,
-               True)
+        # the capped problems; the loop's last operation is a column
+        # rescale, so their columns already sum to nu
+        retire(np.zeros(live.size, dtype=bool), STATUS_MAX_ITERS, max_iters)
     return plans, iters, status
 
 

@@ -193,7 +193,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
 
     metrics_path = out / "metrics.jsonl"
     records: list[dict] = []
-    diverged = False
+    divergence = None
     last_good = {k: v.data.copy() for k, v in model.params.items()}
     with open(metrics_path, "w") as stream:
         for epoch in range(cfg.epochs):
@@ -211,7 +211,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
             except ArithmeticError as exc:
                 log.error("diverged at epoch %d (%s); keeping the last "
                           "good weights", epoch, exc)
-                diverged = True
+                divergence = {"epoch": epoch, "error": str(exc)}
                 break
             rec = _record(epoch, breakdown, times)
             stream.write(json.dumps(rec) + "\n")
@@ -219,6 +219,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
             records.append(rec)
             last_good = {k: v.data.copy() for k, v in model.params.items()}
     ad.reset_tape()  # frees the last step's tape
+    diverged = divergence is not None
     if diverged:
         for name, tensor in model.params.items():
             tensor.data = last_good[name]
@@ -233,6 +234,7 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
         "config_hash": config_hash(cfg),
         "epochs_run": len(records),
         "diverged": diverged,
+        "divergence": divergence,
         "final": records[-1] if records else None,
         "checkpoint": checkpoint_path.name,
         "metrics": metrics_path.name,

@@ -2,6 +2,7 @@
 endpoints against assignment/grid oracles, feasibility and stability."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -164,9 +165,9 @@ def reference_bapg_batch(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     return plans, iters, status
 
 
-def mixed_stack(rng, n, m):
-    """Seven (n, m) problems for one BAPG call at alpha=0.5, beta=1,
-    eps=1e-6 and 150 iterations. Problem 0 has constant costs, so G is
+def mixed_stack(rng, n, m, beta=1.0):
+    """Seven (n, m) problems for one BAPG call at alpha=0.5, the given
+    beta, eps=1e-6 and 150 iterations. Problem 0 has constant costs, so G is
     constant and the iteration is Sinkhorn scaling of P0: it converges.
     Problem 1 weights its linear cost by 5; 3 has a row of M at inf, so
     the row step of iteration 1 turns it non-finite; 4 has a column of M
@@ -195,7 +196,7 @@ def mixed_stack(rng, n, m):
     mu = np.tile(uniform(n), (7, 1))
     nu = np.tile(uniform(m), (7, 1))
     P0 = ot.initial_plan(mu, nu, ot.FgwConfig(alpha=0.5))
-    return (np.array(M), np.array(C1), np.array(C2), mu, nu, 0.5, 1.0, 150,
+    return (np.array(M), np.array(C1), np.array(C2), mu, nu, 0.5, beta, 150,
             1e-6, P0)
 
 
@@ -532,9 +533,14 @@ class TestBapgBatch:
             assert_allclose(P[i], solo[0], rtol=0, atol=1e-12)
             assert (iters[i], status[i]) == (it[0], code[0])
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (4, 4), (12, 12), (9, 7)])
-    def test_matches_reference_iteration(self, rng, n, m):
-        args = mixed_stack(rng, n, m)
+    # beta=0.1 is the `fgwcl distance` default: a 10x larger structure
+    # step, where the terms the kernel's half-steps omit are largest
+    @pytest.mark.parametrize(
+        "n,m,beta", [(1, 1, 1.0), (4, 4, 1.0), (12, 12, 1.0), (9, 7, 1.0),
+                     (9, 7, 0.1)],
+        ids=["1-1", "4-4", "12-12", "9-7", "9-7-beta0.1"])
+    def test_matches_reference_iteration(self, rng, n, m, beta):
+        args = mixed_stack(rng, n, m, beta)
         P_ref, it_ref, code_ref = reference_bapg_batch(*args)
         assert code_ref[3] == code_ref[4] == STATUS_NON_FINITE
         if n > 1:
@@ -589,6 +595,42 @@ class TestBapgBatch:
         assert np.isfinite(P[[0, 2]]).all()
         with pytest.raises(ArithmeticError, match="problem 1 at iteration 1"):
             ot.bapg_fgwd_batch(M, C1, C2, mu, nu, cfg)
+
+    @pytest.mark.parametrize("which", ["C1", "C2"])
+    def test_structure_cost_overflow_is_non_finite(self, rng, which):
+        # the entry's square overflows to inf in the setup, and the fixed
+        # gradient terms carry it into the plan as NaN, with no warning
+        costs = bounded_costs(rng, 3, 4)
+        getattr(costs, which).data[1, 2] = 1e160
+        mu, nu = uniform(3), uniform(4)
+        cfg = ot.FgwConfig(alpha=0.5, max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, iters, status = bapg_batch_numpy(
+                costs.M.data[None], costs.C1.data[None], costs.C2.data[None],
+                mu[None], nu[None], cfg.alpha, cfg.beta, cfg.max_iters,
+                cfg.tol, ot.initial_plan(mu[None], nu[None], cfg))
+            assert status.tolist() == [STATUS_NON_FINITE]
+            assert np.isnan(P).any()
+            with pytest.raises(ArithmeticError, match="non-finite plan"):
+                ot.bapg_fgwd(costs, mu, nu, cfg)
+
+    def test_linear_cost_overflow_gets_no_mass(self, rng):
+        # alpha * M / beta overflows to inf in the setup, with no warning;
+        # the entry is an infinite cost, so the plan puts no mass there
+        costs = bounded_costs(rng, 3, 4)
+        M = costs.M.data[None].copy()
+        M[0, 1, 2] = 1e308
+        mu, nu = uniform(3)[None], uniform(4)[None]
+        cfg = ot.FgwConfig(alpha=0.5, beta=0.1, max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, _, _ = bapg_batch_numpy(
+                M, costs.C1.data[None], costs.C2.data[None], mu, nu,
+                cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
+                ot.initial_plan(mu, nu, cfg))
+        assert np.isfinite(P).all()
+        assert P[0, 1, 2] == 0.0
 
     def test_two_dimensional_call_returns_scalars(self, rng):
         costs = bounded_costs(rng, 3, 4)

@@ -34,6 +34,7 @@ class TestTrainLoop:
         summary = json.loads(result.summary_path.read_text())
         assert summary["epochs_run"] == cfg.epochs
         assert summary["diverged"] is False
+        assert summary["divergence"] is None
         assert summary["config"]["alpha"] == cfg.alpha
 
     def test_deterministic_loss_stream(self, tmp_path):
@@ -90,6 +91,8 @@ class TestTrainLoop:
         assert 0 < len(result.records) < cfg.epochs
         summary = json.loads(result.summary_path.read_text())
         assert summary["diverged"] is True
+        assert summary["divergence"]["epoch"] == len(result.records)
+        assert summary["divergence"]["error"]
         # the checkpoint must hold the retained (finite) weights
         _, arrays = load_checkpoint(result.checkpoint_path)
         for name, arr in arrays.items():
