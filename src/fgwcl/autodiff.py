@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation on dense 2-D float64 matrices.
 
 Every tensor is a (rows, cols) matrix; scalars are 1x1 and vectors are
-column matrices. Operations record themselves on a tape, and a single
+column matrices. Operations are module functions (Tensor overloads no
+operators) that record themselves on a tape, and a single
 backward pass over the tape fills the ``grad`` field of every tensor
 created with ``requires_grad=True``. The tape is rebuilt from scratch for
 each training step, so the graph can change freely between steps.
@@ -110,59 +111,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; the full op set lives in module functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def t(self):
-        return transpose(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
 
 def constant(data) -> Tensor:
@@ -283,17 +231,6 @@ def mul(a, b) -> Tensor:
                    lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
 
 
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("div", a.shape, b.shape)
-    da, db, sa, sb = a.data, b.data, a.shape, b.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = da / db
-    return make_op("div", (a, b), out_data,
-                   lambda g: (_unbroadcast(g / db, sa),
-                              _unbroadcast(-g * da / (db * db), sb)))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -359,11 +296,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # elementwise unary ops
-
-def neg(a: Tensor) -> Tensor:
-    a = _lift(a)
-    return make_op("neg", (a,), -a.data, lambda g: (-g,))
-
 
 def exp(a: Tensor) -> Tensor:
     a = _lift(a)
@@ -496,13 +428,12 @@ def sum_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # regularization
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator,
-            training: bool) -> Tensor:
-    """Inverted dropout; the identity map when ``training`` is False."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout (training mode); the identity map at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     a = _lift(a)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
     keep = 1.0 - rate
     mask = (rng.random(a.shape) >= rate) / keep

@@ -45,8 +45,7 @@ class ProbeWeights:
 
 
 def fit_probe(features: np.ndarray, labels: np.ndarray,
-              train_mask: np.ndarray, iters: int = PROBE_ITERS,
-              lr: float = PROBE_LR, l2: float = PROBE_L2) -> ProbeWeights:
+              train_mask: np.ndarray) -> ProbeWeights:
     """Softmax regression on the train rows; never touches other labels."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -68,14 +67,14 @@ def fit_probe(features: np.ndarray, labels: np.ndarray,
     onehot[np.arange(n), y] = 1.0
     w = np.zeros((d, c))
     b = np.zeros(c)
-    for _ in range(iters):
+    for _ in range(PROBE_ITERS):
         logits = z @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         delta = (p - onehot) / n
-        w -= lr * (z.T @ delta + l2 * w)
-        b -= lr * delta.sum(axis=0)
+        w -= PROBE_LR * (z.T @ delta + PROBE_L2 * w)
+        b -= PROBE_LR * delta.sum(axis=0)
     return ProbeWeights(w=w, b=b, mean=mean, std=std, classes=classes)
 
 
@@ -88,11 +87,8 @@ def probe_accuracy(probe: ProbeWeights, features: np.ndarray,
     return float(np.mean(pred == np.asarray(labels)[mask]))
 
 
-def linear_probe(features, labels, train_mask, test_mask,
-                 iters: int = PROBE_ITERS, lr: float = PROBE_LR,
-                 l2: float = PROBE_L2) -> float:
-    probe = fit_probe(features, labels, train_mask, iters=iters, lr=lr,
-                      l2=l2)
+def linear_probe(features, labels, train_mask, test_mask) -> float:
+    probe = fit_probe(features, labels, train_mask)
     return probe_accuracy(probe, features, labels, test_mask)
 
 
@@ -106,14 +102,14 @@ def majority_rate(labels, train_mask, test_mask) -> float:
     return float(np.mean(test == top))
 
 
-def bootstrap_ci(values, resamples: int = BOOTSTRAP_SAMPLES,
-                 seed: int = 0) -> tuple[float, float]:
+def bootstrap_ci(values) -> tuple[float, float]:
     """95% percentile interval of the mean under resampling."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("bootstrap needs at least one value")
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, values.size, size=(resamples, values.size))
+    rng = np.random.default_rng(0)
+    draws = rng.integers(0, values.size,
+                         size=(BOOTSTRAP_SAMPLES, values.size))
     means = values[draws].mean(axis=1)
     low, high = np.percentile(means, [2.5, 97.5])
     return float(low), float(high)

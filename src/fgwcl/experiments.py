@@ -38,6 +38,7 @@ def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
         raise ValueError("the sweep needs labels to probe accuracy")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
     rows = []
     for alpha in grid:
         per_seed = []
@@ -45,8 +46,6 @@ def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
             trial_cfg = dataclasses.replace(cfg, alpha=alpha, seed=seed)
             run_dir = out / f"alpha_{alpha:.2f}" / f"seed_{seed}"
             result = train(trial_cfg, g, run_dir)
-            gt = prepare_graph(g, trial_cfg.degree_feature,
-                               trial_cfg.normalize_features)
             features = embed(result.model, gt)
             spec = make_splits(g, split_mode, seed)
             per_seed.append(linear_probe(features, g.labels,
@@ -75,11 +74,12 @@ def bench_graph_params(n: int, feature_dim: int = 32,
 
 
 def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
-                 iters: int = 3, warmup: int = 1, feature_dim: int = 32,
-                 seed: int = 0) -> list[dict]:
+                 iters: int = 3, warmup: int = 1,
+                 feature_dim: int = 32) -> list[dict]:
     """Mean per-phase epoch times for each graph size.
 
-    Warm-up epochs (allocator effects) are excluded from the means.
+    cfg.seed seeds both the generated graphs and training. Warm-up epochs
+    (allocator effects) are excluded from the means.
     """
     if iters < 1 or warmup < 0:
         raise ValueError("need iters >= 1 and warmup >= 0")
@@ -88,9 +88,8 @@ def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
     rows = []
     for n in sizes:
         g = generate_csbm(bench_graph_params(n, feature_dim=feature_dim,
-                                             seed=seed))
-        run_cfg = dataclasses.replace(cfg, epochs=warmup + iters,
-                                      seed=seed)
+                                             seed=cfg.seed))
+        run_cfg = dataclasses.replace(cfg, epochs=warmup + iters)
         result = train(run_cfg, g, out / f"n_{n}")
         timed = result.records[warmup:]
         if len(timed) < iters:

@@ -16,6 +16,8 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Tensor, make_op
 
+LEAKY_SLOPE = 0.2  # negative slope of the attention logits
+
 
 @dataclass(frozen=True)
 class GraphSupport:
@@ -44,20 +46,15 @@ class GraphSupport:
         return int(self.indices.size)
 
     @classmethod
-    def from_sparse(cls, matrix, add_self_loops: bool = True) -> "GraphSupport":
-        """Support from the nonzero pattern of a sparse matrix.
-
-        With ``add_self_loops`` the diagonal is forced into the pattern, so
-        isolated nodes still attend to themselves.
-        """
+    def from_sparse(cls, matrix) -> "GraphSupport":
+        """Support from the nonzero pattern of a sparse matrix plus the
+        diagonal, so isolated nodes still attend to themselves."""
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"support: matrix must be square, got {m.shape}")
         pattern = m.copy()
         pattern.data = np.ones_like(pattern.data)
-        if add_self_loops:
-            pattern = pattern + sp.eye(m.shape[0], format="csr")
-        pattern = sp.csr_matrix(pattern)
+        pattern = sp.csr_matrix(pattern + sp.eye(m.shape[0], format="csr"))
         pattern.sort_indices()
         return cls(m.shape[0], pattern.indptr.astype(np.int64),
                    pattern.indices.astype(np.int64))
@@ -144,13 +141,13 @@ def attention_aggregate(alpha: Tensor, z: Tensor,
 
 
 def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
-              support: GraphSupport, leaky_slope: float = 0.2) -> Tensor:
+              support: GraphSupport) -> Tensor:
     """Single-head graph attention over the support pattern, no output
     nonlinearity: out_i = sum_j softmax_j(leaky(a_src.zp_i + a_dst.zp_j)) zp_j.
     """
     zp = ad.matmul(z, w_proj)
     es = ad.matmul(zp, a_src)
     ed = ad.matmul(zp, a_dst)
-    logits = ad.leaky_relu(edge_pair_sum(es, ed, support), leaky_slope)
+    logits = ad.leaky_relu(edge_pair_sum(es, ed, support), LEAKY_SLOPE)
     alpha = segment_softmax(logits, support)
     return attention_aggregate(alpha, zp, support)

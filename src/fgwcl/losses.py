@@ -26,14 +26,13 @@ from .ot import FgwConfig, bapg_fgwd_batch, fgw_batch
 from .sampling import ContrastBatch
 
 
-def _stacked_costs(batch: ContrastBatch, tau: float,
-                   taped: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+def _stacked_costs(batch: ContrastBatch,
+                   tau: float) -> tuple[Tensor, Tensor, Tensor]:
     """Costs of every (anchor, partner) pair in loss order, stacked as
-    fgw_batch takes them: M = exp(-H1 H2^T / tau), Ck = exp(-Ak / tau).
-    taped=False computes the same values and records nothing."""
+    fgw_batch takes them: M = exp(-H1 H2^T / tau), Ck = exp(-Ak / tau)."""
     rows1, rows2 = batch.pair_rows()
     scale = ad.constant(-1.0 / tau)
-    H, A = batch.views(taped)
+    H, A = batch.views()
     C = ad.exp(ad.mul(A, scale))
     M = ad.exp(ad.mul(ad.block_matmul_t(ad.gather_rows(H, rows1),
                                         ad.gather_rows(H, rows2),
@@ -51,7 +50,7 @@ def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
     couplings fixed. `threads` has no effect."""
     B, k = batch.partner_views.size, batch.index.shape[1]
     try:
-        costs = _stacked_costs(batch, cfg.tau, taped=False)
+        costs = _stacked_costs(batch.detached(), cfg.tau)
     except ArithmeticError as exc:
         raise ArithmeticError(f"solve_batch_plans: {exc}") from exc
     M, C1, C2 = (t.data.reshape(B, k, k) for t in costs)

@@ -28,7 +28,6 @@ from .autodiff import Tensor
 from .graph import Graph, normalized_adjacency, structural_scores
 from .graph_ops import GraphSupport, gat_layer, spmm
 
-LEAKY_SLOPE = 0.2
 PRELU_INIT = 0.25
 _CHECKPOINT_FORMAT = "fgwcl-checkpoint"
 
@@ -48,7 +47,6 @@ class GraphTensors:
     adj_norm: sp.csr_matrix
     struct_support: GraphSupport
     scores: Tensor
-    degrees: np.ndarray
 
 
 def prepare_graph(g: Graph, degree_feature: str = "raw",
@@ -63,10 +61,8 @@ def prepare_graph(g: Graph, degree_feature: str = "raw",
         graph=g,
         x=ad.constant(x),
         adj_norm=adj_norm,
-        struct_support=GraphSupport.from_sparse(adj_norm,
-                                               add_self_loops=True),
+        struct_support=GraphSupport.from_sparse(adj_norm),
         scores=ad.constant(scores),
-        degrees=g.degrees(),
     )
 
 
@@ -159,9 +155,9 @@ class Model:
              rng: Optional[np.random.Generator]) -> Tensor:
         p = self.params
         if training and rate > 0.0:
-            h_f = ad.dropout(h_f, rate, rng, training=True)
-            h_s = ad.dropout(h_s, rate, rng, training=True)
-            scores = ad.dropout(scores, rate, rng, training=True)
+            h_f = ad.dropout(h_f, rate, rng)
+            h_s = ad.dropout(h_s, rate, rng)
+            scores = ad.dropout(scores, rate, rng)
         pre = ad.add(ad.add(ad.matmul(h_f, p[prefix + "wf"]),
                             ad.matmul(h_s, p[prefix + "ws"])),
                      ad.add(ad.matmul(scores, p[prefix + "wd"]),
@@ -181,7 +177,7 @@ class Model:
                 f"graph has {gt.x.shape[1]} features, model expects "
                 f"{self.num_features}")
         if training and self.dropout > 0.0:
-            z = ad.dropout(z, self.dropout, rng, training=True)
+            z = ad.dropout(z, self.dropout, rng)
         t1 = ad.matmul(z, p["enc_w1"])
         f1 = ad.prelu(t1, p["enc_slope1"])
         s1 = ad.prelu(spmm(gt.adj_norm, t1), p["enc_slope1"])
@@ -189,7 +185,7 @@ class Model:
                          self.fusion_dropout, training, rng)
         z1 = combine_channels(f1, s1, lam1)
         if training and self.dropout > 0.0:
-            z1 = ad.dropout(z1, self.dropout, rng, training=True)
+            z1 = ad.dropout(z1, self.dropout, rng)
         t2 = ad.matmul(z1, p["enc_w2"])
         h_f = ad.prelu(t2, p["enc_slope2"])
         h_s = ad.prelu(spmm(gt.adj_norm, t2), p["enc_slope2"])
@@ -202,7 +198,7 @@ class Model:
         p = self.params
         h_hat_f = ad.matmul(h_f, p["gat_w"])
         h_hat_s = gat_layer(h_s, p["gat_w"], p["gat_a_src"], p["gat_a_dst"],
-                            gt.struct_support, leaky_slope=LEAKY_SLOPE)
+                            gt.struct_support)
         return h_hat_f, h_hat_s
 
     def fuse(self, h_f: Tensor, h_s: Tensor, scores: Tensor,

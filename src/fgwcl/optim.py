@@ -11,18 +11,18 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """Per-parameter moment estimates plus the shared step counter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ValueError(f"adam: learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -39,17 +39,17 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
         raise ValueError(f"adam_step: no gradient for parameter {missing[0]!r}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

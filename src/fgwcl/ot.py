@@ -29,6 +29,9 @@ from .autodiff import Tensor, _lift
 from .kernels import STATUS_NON_FINITE, KernelBackend, get_backend
 from .kernels import tensor_product_numpy as tensor_product
 
+# relative size of the seeded jitter on the initial coupling mu nu^T
+INIT_JITTER = 1e-3
+
 
 @dataclass
 class FgwConfig:
@@ -40,7 +43,6 @@ class FgwConfig:
     tol: float = 1e-6
     tau: float = 1.0
     seed: int = 0
-    init_jitter: float = 1e-3  # 0 starts from exactly mu nu^T
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -53,8 +55,6 @@ class FgwConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.init_jitter < 0:
-            raise ValueError(f"init_jitter must be >= 0, got {self.init_jitter}")
 
 
 @dataclass
@@ -153,18 +153,16 @@ def fgw_objective(costs: CostMatrices, P: np.ndarray, alpha: float) -> Tensor:
 
 
 def initial_plan(mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig) -> np.ndarray:
-    """Independent coupling mu nu^T, by default with a small seeded jitter.
+    """Independent coupling mu nu^T with a small seeded jitter.
 
     The jitter breaks the symmetric stationary point the plain product
-    initialization sits on when C1 = C2; init_jitter=0 keeps exactly mu nu^T.
-    Stacked marginals (B, n) and (B, m) give a (B, n, m) stack in which
-    every problem gets the jitter a solo call would give it.
+    initialization sits on when C1 = C2. Stacked marginals (B, n) and
+    (B, m) give a (B, n, m) stack in which every problem gets the jitter a
+    solo call would give it.
     """
     P0 = mu[..., :, None] * nu[..., None, :]
-    if cfg.init_jitter == 0.0:
-        return P0
     rng = np.random.default_rng(cfg.seed)
-    P0 = P0 * (1.0 + cfg.init_jitter * rng.random(P0.shape[-2:]))
+    P0 = P0 * (1.0 + INIT_JITTER * rng.random(P0.shape[-2:]))
     return P0 / P0.sum(axis=(-2, -1), keepdims=True)
 
 

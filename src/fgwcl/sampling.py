@@ -11,7 +11,7 @@ over its nodes, so transport problems between views are balanced.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -141,14 +141,17 @@ class ContrastBatch:
         return ((first[:, None] * k + block).ravel(),
                 (self.partner_views.reshape(-1, 1) * k + block).ravel())
 
-    def views(self, taped: bool = True) -> tuple[Tensor, Tensor]:
+    def detached(self) -> "ContrastBatch":
+        """The same batch over constant copies of h and h_hat, whose
+        views record nothing on the tape."""
+        return replace(self, h=ad.constant(self.h.data),
+                       h_hat=ad.constant(self.h_hat.data))
+
+    def views(self) -> tuple[Tensor, Tensor]:
         """All 2A views stacked by view id: embedding rows (2Ak, d) and
         adjacency (2Ak, k). One gather per embedding and one block cosine
-        for every perturbed adjacency; taped=False computes the same
-        values from constants and records nothing."""
+        for every perturbed adjacency."""
         h, h_hat = self.h, self.h_hat
-        if not taped:
-            h, h_hat = ad.constant(h.data), ad.constant(h_hat.data)
         a, k = self.index.shape
         rows = self.index.ravel()
         h_hat_rows = ad.gather_rows(h_hat, rows)
@@ -163,7 +166,7 @@ class ContrastBatch:
         """The 2A views one by one, by view id (for inspection)."""
         a, k = self.index.shape
         h, adj = (t.data.reshape(2 * a, k, -1)
-                  for t in self.views(taped=False))
+                  for t in self.detached().views())
         mu = np.full(k, 1.0 / k)
         return [MeasuredSubgraph(self.index[v % a], ad.constant(adj[v]),
                                  ad.constant(h[v]), mu)

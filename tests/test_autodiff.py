@@ -17,20 +17,18 @@ class TestForward:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((4, 3)) + 3.0
         ta, tb = ad.Tensor(a), ad.Tensor(b)
-        assert_allclose((ta + tb).data, a + b)
-        assert_allclose((ta - tb).data, a - b)
-        assert_allclose((ta * tb).data, a * b)
-        assert_allclose((ta / tb).data, a / b)
-        assert_allclose((-ta).data, -a)
+        assert_allclose(ad.add(ta, tb).data, a + b)
+        assert_allclose(ad.sub(ta, tb).data, a - b)
+        assert_allclose(ad.mul(ta, tb).data, a * b)
 
     def test_broadcast_shapes(self, rng):
         a = rng.standard_normal((4, 3))
         col = rng.standard_normal((4, 1))
         row = rng.standard_normal((1, 3))
         s = rng.standard_normal((1, 1))
-        assert_allclose((ad.Tensor(a) + ad.Tensor(col)).data, a + col)
-        assert_allclose((ad.Tensor(a) * ad.Tensor(row)).data, a * row)
-        assert_allclose((ad.Tensor(a) - ad.Tensor(s)).data, a - s)
+        assert_allclose(ad.add(ad.Tensor(a), ad.Tensor(col)).data, a + col)
+        assert_allclose(ad.mul(ad.Tensor(a), ad.Tensor(row)).data, a * row)
+        assert_allclose(ad.sub(ad.Tensor(a), ad.Tensor(s)).data, a - s)
 
     def test_incompatible_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -41,8 +39,8 @@ class TestForward:
     def test_matmul_transpose(self, rng):
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((3, 5))
-        assert_allclose((ad.Tensor(a) @ ad.Tensor(b)).data, a @ b)
-        assert_allclose(ad.Tensor(a).t().data, a.T)
+        assert_allclose(ad.matmul(ad.Tensor(a), ad.Tensor(b)).data, a @ b)
+        assert_allclose(ad.transpose(ad.Tensor(a)).data, a.T)
 
     def test_unary_matches_numpy(self, rng):
         a = rng.standard_normal((3, 4))
@@ -91,8 +89,8 @@ class TestValidation:
     def test_nonfinite_result_raises(self):
         with pytest.raises(ArithmeticError, match="exp"):
             ad.exp(ad.Tensor([[1e4]]))
-        with pytest.raises(ArithmeticError, match="div"):
-            ad.div(ad.Tensor([[1.0]]), ad.Tensor([[0.0]]))
+        with pytest.raises(ArithmeticError, match=r"exp: .* \(1, 2\) result"):
+            ad.exp(ad.Tensor([[0.0, 800.0]]))
 
     def test_nonfinite_input_raises(self):
         with pytest.raises(ArithmeticError):
@@ -119,7 +117,7 @@ class TestValidation:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_binary_elementwise(self, op, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((3, 4)) + 3.0
@@ -132,20 +130,23 @@ class TestGradients:
     def test_broadcast_gradients(self, shape_b, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal(shape_b) + 2.0
-        check_grad(lambda p: ad.sum_all(ad.div(ad.mul(p["a"], p["b"]), p["b"])
-                                        + ad.mul(p["a"], p["b"])),
+        check_grad(lambda p: ad.sum_all(ad.add(ad.sub(ad.mul(p["a"], p["b"]),
+                                                      p["b"]),
+                                               ad.mul(p["a"], p["b"]))),
                    {"a": a, "b": b})
 
     def test_matmul_chain(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
         c = rng.standard_normal((3, 2))
-        check_grad(lambda p: ad.sum_all(ad.mul(p["a"] @ p["b"], p["c"])),
+        check_grad(lambda p: ad.sum_all(ad.mul(ad.matmul(p["a"], p["b"]),
+                                               p["c"])),
                    {"a": a, "b": b, "c": c})
 
     def test_transpose(self, rng):
         a = rng.standard_normal((3, 4))
-        check_grad(lambda p: ad.sum_all(p["a"].t() @ p["a"]), {"a": a})
+        check_grad(lambda p: ad.sum_all(ad.matmul(ad.transpose(p["a"]),
+                                                  p["a"])), {"a": a})
 
     @pytest.mark.parametrize("op", ["exp", "sigmoid", "abs_"])
     def test_unary(self, op, rng):
@@ -155,7 +156,8 @@ class TestGradients:
 
     def test_log_sqrt(self, rng):
         a = rng.random((3, 4)) + 0.5
-        check_grad(lambda p: ad.sum_all(ad.log(p["a"]) + ad.sqrt(p["a"])),
+        check_grad(lambda p: ad.sum_all(ad.add(ad.log(p["a"]),
+                                               ad.sqrt(p["a"]))),
                    {"a": a})
 
     def test_sqrt_zero_subgradient(self):
@@ -207,8 +209,9 @@ class TestGradients:
     def test_repeated_use_accumulates(self, rng):
         # same leaf feeding two branches; tape must sum both contributions
         a = rng.standard_normal((3, 3))
-        check_grad(lambda p: ad.sum_all(ad.mul(p["a"], p["a"])
-                                        + ad.exp(p["a"]) @ p["a"]),
+        check_grad(lambda p: ad.sum_all(ad.add(ad.mul(p["a"], p["a"]),
+                                               ad.matmul(ad.exp(p["a"]),
+                                                         p["a"]))),
                    {"a": a})
 
     def test_broadcast_reduction_grads_are_owned(self, rng):
@@ -260,32 +263,27 @@ class TestGradients:
 
 
 class TestDropout:
-    def test_eval_is_identity(self, rng):
-        a = ad.Tensor(rng.standard_normal((4, 4)))
-        out = ad.dropout(a, 0.5, rng, training=False)
-        assert out is a
-
     def test_training_mask_scaling(self):
         rng = np.random.default_rng(7)
         a = ad.Tensor(np.ones((200, 50)))
-        out = ad.dropout(a, 0.3, rng, training=True).data
+        out = ad.dropout(a, 0.3, rng).data
         kept = out != 0.0
         assert_allclose(out[kept], 1.0 / 0.7)
         assert abs(kept.mean() - 0.7) < 0.02
 
     def test_zero_rate_is_identity(self, rng):
         a = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(a, 0.0, rng, training=True) is a
+        assert ad.dropout(a, 0.0, rng) is a
 
     def test_rate_bounds(self, rng):
         with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([[1.0]]), 1.0, rng, training=True)
+            ad.dropout(ad.Tensor([[1.0]]), 1.0, rng)
 
     def test_gradient_uses_mask(self):
         rng = np.random.default_rng(3)
         ad.reset_tape()
         t = ad.Tensor(np.ones((10, 10)), requires_grad=True)
-        out = ad.dropout(t, 0.4, rng, training=True)
+        out = ad.dropout(t, 0.4, rng)
         ad.backward(ad.sum_all(out))
         # gradient equals the mask: zero where dropped, 1/keep elsewhere
         assert_allclose(t.grad, out.data)

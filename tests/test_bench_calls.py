@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fgwcl import train
+from fgwcl import ot, train
 from fgwcl.kernels import get_backend
 from fgwcl.model import prepare_graph
 from fgwcl.optim import AdamState
@@ -88,4 +88,26 @@ def test_check_gradient_finds_no_problems(workloads, node_loss):
     report = workloads.Report()
     workloads.check_gradient(report, model, gt, cfg, fgw, backend, 0, plans,
                              seed=0)
+    assert report.problems == []
+
+
+def test_distance_pair_passes_its_checks(workloads):
+    # the first, smallest distance-pairs instance: ot.FgwConfig,
+    # build_cost_matrices and bapg_fgwd, checked against the 4-index value
+    ga, gb, _ = workloads.distance_inputs(0)[0]
+    cfg = ot.FgwConfig(**workloads.DISTANCE_FGW)
+    _, plan = workloads.distance(ga, gb, cfg, workloads.Spans())
+    report = workloads.Report()
+    workloads.check_distance(report, "pair 0", ga, gb, plan, cfg)
+    assert report.problems == []
+
+
+def test_probe_beats_majority(workloads):
+    # evaluate.embed and linear_probe over the bench's split seeds
+    g = tiny_graph()
+    cfg = tiny_config()
+    model = train.build_model(cfg, g)
+    gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
+    report = workloads.Report()
+    workloads.probe(report, model, g, gt, workloads.Spans())
     assert report.problems == []

@@ -138,6 +138,14 @@ class TestBench:
         assert rows[0]["time_ot_ms"] >= 0.0
         assert rows[0]["time_epoch_ms"] > 0.0
 
+    def test_seed_override_reaches_the_runs(self, tmp_path, config_file):
+        rc = cli.main(["bench", "--config", config_file, "--seed", "7",
+                       "--sizes", "50", "--iters", "1", "--warmup", "0",
+                       "--feature-dim", "6", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "n_50" / "summary.json").read_text())
+        assert summary["config"]["seed"] == 7
+
 
 class TestDistance:
     def write_pair(self, tmp_path, name, edges, x):

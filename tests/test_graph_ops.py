@@ -13,8 +13,7 @@ from conftest import check_grad
 def random_support(n, rng, p=0.4):
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, True)
-    return go.GraphSupport.from_sparse(sp.csr_matrix(mask.astype(float)),
-                                       add_self_loops=True), mask
+    return go.GraphSupport.from_sparse(sp.csr_matrix(mask.astype(float))), mask
 
 
 def dense_gat(z, w, a_src, a_dst, mask, slope=0.2):
@@ -41,14 +40,14 @@ class TestSupport:
     def test_self_loops_added_for_isolated_nodes(self):
         # node 2 has no edges; the self-loop must still give it a row
         a = sp.csr_matrix((np.ones(2), ([0, 1], [1, 0])), shape=(3, 3))
-        s = go.GraphSupport.from_sparse(a, add_self_loops=True)
+        s = go.GraphSupport.from_sparse(a)
         seg2 = s.indices[s.indptr[2]:s.indptr[3]]
         assert_allclose(seg2, [2])
 
     def test_empty_row_rejected_without_self_loops(self):
-        a = sp.csr_matrix((np.ones(2), ([0, 1], [1, 0])), shape=(3, 3))
+        # rows 0 and 1 hold one edge each, row 2 none
         with pytest.raises(ValueError, match="empty rows"):
-            go.GraphSupport.from_sparse(a, add_self_loops=False)
+            go.GraphSupport(3, np.array([0, 1, 2, 2]), np.array([1, 0]))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):

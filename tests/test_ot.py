@@ -351,7 +351,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -0.1}, {"alpha": 1.1}, {"alpha": 0.5, "beta": 0.0},
         {"alpha": 0.5, "max_iters": 0}, {"alpha": 0.5, "tol": 0.0},
-        {"alpha": 0.5, "tau": -1.0}, {"alpha": 0.5, "init_jitter": -1e-3},
+        {"alpha": 0.5, "tau": -1.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -490,12 +490,6 @@ class TestBapg:
             ot.bapg_fgwd(costs, np.array([0.5, 0.5, 0.5]), uniform(3), cfg)
         with pytest.raises(ValueError, match="nu"):
             ot.bapg_fgwd(costs, uniform(3), np.array([1.0, 0.0, 0.0]), cfg)
-
-    def test_product_init_flag(self, rng):
-        costs = random_costs(rng, 3, 3)
-        cfg = ot.FgwConfig(alpha=0.5, init_jitter=0.0)
-        P0 = ot.initial_plan(uniform(3), uniform(3), cfg)
-        assert_allclose(P0, np.outer(uniform(3), uniform(3)))
 
     def test_jittered_init_seeded(self):
         cfg = ot.FgwConfig(alpha=0.5, seed=3)
