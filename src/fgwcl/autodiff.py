@@ -355,7 +355,7 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
                               np.sum(g * np.where(pos, 0.0, d)).reshape(1, 1)))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     a = _lift(a)
     d = a.data
     pos = d > 0

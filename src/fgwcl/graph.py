@@ -311,35 +311,13 @@ class CsbmParams:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def _sample_pairs_within(rng, nodes: np.ndarray, prob: float) -> np.ndarray:
-    """Distinct unordered pairs inside a block: draw the binomial count,
-    then rejection-sample distinct pairs (scales to large blocks without
-    materializing the pair space)."""
-    b = nodes.size
-    num_pairs = b * (b - 1) // 2
-    if num_pairs == 0 or prob == 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    count = int(rng.binomial(num_pairs, prob))
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if count > num_pairs:
-        count = num_pairs
-    chosen: np.ndarray = np.empty(0, dtype=np.int64)
-    while chosen.size < count:
-        draw = max(count - chosen.size, 16)
-        i = rng.integers(0, b, size=2 * draw)
-        j = rng.integers(0, b, size=2 * draw)
-        keep = i < j
-        codes = i[keep] * np.int64(b) + j[keep]
-        chosen = np.unique(np.concatenate([chosen, codes]))
-    chosen = rng.permutation(chosen)[:count]
-    return np.stack([nodes[chosen // b], nodes[chosen % b]], axis=1)
-
-
-def _sample_pairs_across(rng, a: np.ndarray, b: np.ndarray,
-                         prob: float) -> np.ndarray:
-    na, nb = a.size, b.size
-    num_pairs = na * nb
+def _sample_pairs(rng, rows: np.ndarray, cols: np.ndarray, num_pairs: int,
+                  prob: float, draw) -> np.ndarray:
+    """Each of num_pairs candidate pairs independently with probability
+    prob: draw the binomial count, then rejection-sample distinct codes c,
+    the pair (rows[c // cols.size], cols[c % cols.size]). `draw(size)`
+    returns up to `size` codes drawn uniformly from the candidates; this
+    scales to large blocks without materializing the pair space."""
     if num_pairs == 0 or prob == 0.0:
         return np.empty((0, 2), dtype=np.int64)
     count = int(rng.binomial(num_pairs, prob))
@@ -347,11 +325,11 @@ def _sample_pairs_across(rng, a: np.ndarray, b: np.ndarray,
         return np.empty((0, 2), dtype=np.int64)
     chosen: np.ndarray = np.empty(0, dtype=np.int64)
     while chosen.size < count:
-        draw = max(count - chosen.size, 16)
-        codes = rng.integers(0, num_pairs, size=2 * draw)
+        codes = draw(2 * max(count - chosen.size, 16))
         chosen = np.unique(np.concatenate([chosen, codes]))
     chosen = rng.permutation(chosen)[:count]
-    return np.stack([a[chosen // nb], b[chosen % nb]], axis=1)
+    return np.stack([rows[chosen // cols.size], cols[chosen % cols.size]],
+                    axis=1)
 
 
 def generate_csbm(params: CsbmParams) -> Graph:
@@ -368,10 +346,26 @@ def generate_csbm(params: CsbmParams) -> Graph:
     labels[(n + 1) // 2:] = 1
     block0 = np.where(labels == 0)[0]
     block1 = np.where(labels == 1)[0]
+
+    def within(nodes):
+        """Unordered pairs inside a block, as codes i * b + j with i < j."""
+        b = nodes.size
+
+        def draw(size):
+            i = rng.integers(0, b, size=size)
+            j = rng.integers(0, b, size=size)
+            keep = i < j
+            return i[keep] * np.int64(b) + j[keep]
+
+        return _sample_pairs(rng, nodes, nodes, b * (b - 1) // 2, params.p,
+                             draw)
+
+    across = block0.size * block1.size
     edges = np.concatenate([
-        _sample_pairs_within(rng, block0, params.p),
-        _sample_pairs_within(rng, block1, params.p),
-        _sample_pairs_across(rng, block0, block1, params.q),
+        within(block0),
+        within(block1),
+        _sample_pairs(rng, block0, block1, across, params.q,
+                      lambda size: rng.integers(0, across, size=size)),
     ])
     x = rng.standard_normal((n, params.feature_dim))
     x[:, 0] += params.mu_sig * (labels == 0)

@@ -18,6 +18,9 @@ that exp times marginal / sum, and logP the shifted values plus the log
 of that factor. Row and column sums, and the squared Frobenius change,
 are BLAS matrix-vector products over the whole stack, not numpy
 reductions over short axes. Work stacks are reused across iterations.
+The stack keeps its size for the whole solve: a problem that stops has
+its plan stored and goes on iterating with the rest, unrecorded, until
+no problem is running, so no array is ever sliced or rebound.
 
 (L tensor P) = (C1 o C1) P1 1^T + 1 (P^T 1)^T (C2 o C2)^T - 2 C1 P C2^T.
 The first term is constant along each row and the second along each
@@ -28,13 +31,16 @@ once; only the first row step, from P0, sums P0's columns.
 
 Status codes returned by the bapg kernels: 0 converged, 1 hit the
 iteration cap, 2 non-finite values, 3 stationary with a row residual
-above eps, measured on the returned plan (its columns sum to nu). A
-non-finite value in either half-step of an iteration makes that
-iteration's Frobenius change non-finite, the one finiteness test per
-iteration; the problem then reports that iteration and stores its plan
-as of the end of it, which holds NaN. An overflow in C1 o C1 or C2 o C2
-meets a positive marginal in a kept term, so it too ends as NaN, by
-iteration 2; overflow in the setup raises no numpy warning.
+above eps. The row residual max_i |(P 1)_i - mu_i| is measured once,
+after the loop, on every returned plan (its columns sum to nu), and
+returned with it. A non-finite value in either half-step of an
+iteration makes that iteration's Frobenius change non-finite, the one
+finiteness test per iteration; the problem then reports that iteration
+and stores its plan as of the end of it, which holds NaN. A problem
+that has stopped is not recorded again, even if it turns non-finite
+later. An overflow in C1 o C1 or C2 o C2 meets a positive marginal in
+a kept term, so it too ends as NaN, by iteration 2; overflow in the
+setup raises no numpy warning.
 """
 
 from __future__ import annotations
@@ -64,30 +70,30 @@ def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
 
 def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     """BAPG over a stack: M and P0 are (B, n, m), C1 (B, n, n), C2
-    (B, m, m), mu (B, n) and nu (B, m). Returns plans (B, n, m) and the
-    per-problem iteration counts and status codes, each of shape (B,).
+    (B, m, m), mu (B, n) and nu (B, m). Returns plans (B, n, m), and the
+    per-problem iteration counts, status codes and row residuals
+    max_i |(P 1)_i - mu_i|, each of shape (B,).
 
     Every problem runs the iteration it would run alone and stops on its
-    own Frobenius change; the live stack is compacted only on iterations
-    where some problem stops or turns non-finite.
+    own Frobenius change; the stack keeps all B problems until none runs.
     """
     B, n, m = M.shape
     plans = np.empty(M.shape)
-    iters = np.empty(B, dtype=np.int64)
-    status = np.empty_like(iters)
-    live = np.arange(B)
+    iters = np.full(B, max_iters, dtype=np.int64)
+    status = np.full(B, STATUS_MAX_ITERS, dtype=np.int64)
+    running = np.ones(B, dtype=bool)
     ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
 
     def row_sums(X):
-        """X 1 as an (L, n, 1) stack."""
+        """X 1 as a (B, n, 1) stack."""
         return (X.reshape(-1, m) @ ones_m).reshape(-1, n, 1)
 
     def col_sums(X):
-        """1^T X as an (L, 1, m) stack."""
+        """1^T X as a (B, 1, m) stack."""
         return ones_n @ X
 
     def col_term(q):
-        """(C2sq q)^T for an (L, 1, m) stack of column sums q."""
+        """(C2sq q)^T for a (B, 1, m) stack of column sums q."""
         return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
 
     def half_step(X, out, fixed, axis, marginal):
@@ -104,24 +110,15 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         np.multiply(out, scale, out=out)
         np.add(logP, np.log(scale), out=logP)
 
-    def retire(keep, code, it):
-        """Store the problems not in `keep` as finished; shrink the stack."""
-        nonlocal live, C1m2, C2T, mu, nu, P, logP, Q, G, T, row_fixed, \
-            col_fixed
-        gone = ~keep
-        done = live[gone]
-        out = P[gone]
-        plans[done] = out
+    def stop(done, code, it):
+        """Store the running problems in `done` as stopped at iteration
+        `it`; return whether any problem is still running."""
+        done &= running
+        plans[done] = P[done]
         iters[done] = it
-        if code == STATUS_CONVERGED:
-            residual = np.abs(out.sum(axis=2) - mu[gone, :, 0]).max(axis=1)
-            code = np.where(residual > eps, STATUS_STATIONARY_INFEASIBLE,
-                            code)
         status[done] = code
-        live, C1m2, C2T, mu, nu, P, logP, row_fixed, col_fixed = (
-            a[keep] for a in (live, C1m2, C2T, mu, nu, P, logP, row_fixed,
-                              col_fixed))
-        Q, G, T = Q[:live.size], G[:live.size], T[:live.size]
+        running[done] = False
+        return running.any()
 
     # a non-finite value, from the setup or from the loop, surfaces as a
     # non-finite Frobenius change, not through numpy warnings
@@ -138,13 +135,11 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         nu = np.asarray(nu, dtype=np.float64)[:, None, :]
         P = np.array(P0, dtype=np.float64)
         logP = np.log(P)
-        # work stacks, sliced down with the live stack: the next iterate,
-        # the gradient and a scratch product
+        # work stacks: the next iterate, the gradient and a scratch product
         Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
         # a row step starts from columns summing to nu and a column step
         # from rows summing to mu, which fixes the terms they keep; only
-        # the first row step starts from P0, whose columns are not nu. All
-        # are built by the end of iteration 1, so C2sq is never compacted
+        # the first row step starts from P0, whose columns are not nu
         row_fixed = aM + col_term(col_sums(P))
         col_fixed = aM + (step * (C1 * C1)) @ mu
         for it in range(1, max_iters + 1):
@@ -154,24 +149,21 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
                 row_fixed = aM + col_term(nu)
             np.subtract(Q, P, out=T)
             T *= T
-            delta = np.sqrt(T.reshape(live.size, -1) @ ones_nm)
+            delta = np.sqrt(T.reshape(B, -1) @ ones_nm)
             P, Q = Q, P
             finite = np.isfinite(delta)
-            if not finite.all():
-                retire(finite, STATUS_NON_FINITE, it)
-                if not live.size:
-                    break
-                delta = delta[finite]
-            stop = delta <= eps
-            if stop.any():
-                retire(~stop, STATUS_CONVERGED, it)
-                if not live.size:
-                    break
-    if live.size:
+            if not finite.all() and not stop(~finite, STATUS_NON_FINITE, it):
+                break
+            converged = delta <= eps
+            if converged.any() and not stop(converged, STATUS_CONVERGED, it):
+                break
         # the capped problems; the loop's last operation is a column
         # rescale, so their columns already sum to nu
-        retire(np.zeros(live.size, dtype=bool), STATUS_MAX_ITERS, max_iters)
-    return plans, iters, status
+        plans[running] = P[running]
+        residual = np.abs(plans.sum(axis=2) - mu[:, :, 0]).max(axis=1)
+    status[(status == STATUS_CONVERGED) & (residual > eps)] = (
+        STATUS_STATIONARY_INFEASIBLE)
+    return plans, iters, status, residual
 
 
 def bapg_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0,
@@ -179,7 +171,7 @@ def bapg_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0,
     """One (n, m) problem through the stacked kernel; returns the plan and
     the scalar iteration count and status code. `unused` has no effect;
     it remains because bench/tracing.py still passes it."""
-    plans, iters, status = bapg_batch_numpy(
+    plans, iters, status, _ = bapg_batch_numpy(
         M[None], C1[None], C2[None], mu[None], nu[None], alpha, beta,
         max_iters, eps, P0[None])
     return plans[0], int(iters[0]), int(status[0])

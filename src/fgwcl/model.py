@@ -154,7 +154,7 @@ class Model:
              rate: float, training: bool,
              rng: Optional[np.random.Generator]) -> Tensor:
         p = self.params
-        if training and rate > 0.0:
+        if training:
             h_f = ad.dropout(h_f, rate, rng)
             h_s = ad.dropout(h_s, rate, rng)
             scores = ad.dropout(scores, rate, rng)
@@ -176,7 +176,7 @@ class Model:
             raise ValueError(
                 f"graph has {gt.x.shape[1]} features, model expects "
                 f"{self.num_features}")
-        if training and self.dropout > 0.0:
+        if training:
             z = ad.dropout(z, self.dropout, rng)
         t1 = ad.matmul(z, p["enc_w1"])
         f1 = ad.prelu(t1, p["enc_slope1"])
@@ -184,7 +184,7 @@ class Model:
         lam1 = self._psi("enc_fuse_", f1, s1, gt.scores,
                          self.fusion_dropout, training, rng)
         z1 = combine_channels(f1, s1, lam1)
-        if training and self.dropout > 0.0:
+        if training:
             z1 = ad.dropout(z1, self.dropout, rng)
         t2 = ad.matmul(z1, p["enc_w2"])
         h_f = ad.prelu(t2, p["enc_slope2"])

@@ -197,7 +197,7 @@ def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
     valid marginals. Returns one plan per problem, in stack order."""
     if backend is None:
         backend = get_backend()
-    P, iters, status = backend.bapg_batch(
+    P, iters, status, residual = backend.bapg_batch(
         M, C1, C2, mu, nu, float(cfg.alpha), float(cfg.beta),
         int(cfg.max_iters), float(cfg.tol), initial_plan(mu, nu, cfg))
     bad = np.flatnonzero(status == STATUS_NON_FINITE)
@@ -208,7 +208,6 @@ def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
             f"{iters[b]} (beta={cfg.beta}, alpha={cfg.alpha}); consider a "
             f"larger beta")
     objective = fgw_value(M, C1, C2, P, cfg.alpha)
-    residual = np.abs(P.sum(axis=2) - mu).max(axis=1)
     return [TransportPlan(P=P[b], mu=mu[b], nu=nu[b],
                           objective=float(objective[b]),
                           iterations=int(iters[b]),

@@ -174,7 +174,7 @@ class TestGradients:
 
     def test_leaky_relu(self, rng):
         a = rng.standard_normal((4, 5)) + 0.05
-        check_grad(lambda p: ad.sum_all(ad.mul(ad.leaky_relu(p["a"]), p["a"])),
+        check_grad(lambda p: ad.sum_all(ad.mul(ad.leaky_relu(p["a"], 0.2), p["a"])),
                    {"a": a})
 
     def test_l2_normalize_rows(self, rng):

@@ -515,13 +515,13 @@ class TestBapgBatch:
         cfg = ot.FgwConfig(alpha=0.4, beta=1.0, max_iters=250, tol=1e-6)
         P0 = ot.initial_plan(mu, nu, cfg)
         args = (cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol)
-        P, iters, status = bapg_batch_numpy(M, C1, C2, mu, nu, *args, P0)
+        P, iters, status, _ = bapg_batch_numpy(M, C1, C2, mu, nu, *args, P0)
         # problems stop at different iterations, some at the cap
         assert len(set(iters.tolist())) > 2
         assert STATUS_MAX_ITERS in status
         assert (status != STATUS_MAX_ITERS).any()
         for i in range(len(M)):
-            solo, it, code = bapg_batch_numpy(
+            solo, it, code, _ = bapg_batch_numpy(
                 M[i:i + 1], C1[i:i + 1], C2[i:i + 1], mu[i:i + 1],
                 nu[i:i + 1], *args, P0[i:i + 1])
             assert_allclose(P[i], solo[0], rtol=0, atol=1e-12)
@@ -536,6 +536,8 @@ class TestBapgBatch:
     def test_matches_reference_iteration(self, rng, n, m, beta):
         args = mixed_stack(rng, n, m, beta)
         P_ref, it_ref, code_ref = reference_bapg_batch(*args)
+        mu, eps = args[3], args[8]
+        res_ref = np.abs(P_ref.sum(axis=2) - mu).max(axis=1)
         assert code_ref[3] == code_ref[4] == STATUS_NON_FINITE
         if n > 1:
             assert set(code_ref.tolist()) == {
@@ -552,12 +554,20 @@ class TestBapgBatch:
             (tuple(a[b:b + 1] if isinstance(a, np.ndarray) else a
                    for a in args), slice(b, b + 1)) for b in range(7)]
         for stack, part in cases:
-            P, it, code = bapg_batch_numpy(*stack)
+            P, it, code, res = bapg_batch_numpy(*stack)
             assert it.tolist() == it_ref[part].tolist()
             assert code.tolist() == code_ref[part].tolist()
             finite = code != STATUS_NON_FINITE
             assert_allclose(P[finite], P_ref[part][finite], rtol=0,
                             atol=1e-12)
+            # the returned residual is the row residual of the plan, and
+            # status 3 marks exactly the stationary stops above eps
+            assert_allclose(res[finite], res_ref[part][finite], rtol=0,
+                            atol=1e-12)
+            stationary = np.isin(code, [STATUS_CONVERGED,
+                                        STATUS_STATIONARY_INFEASIBLE])
+            assert ((code == STATUS_STATIONARY_INFEASIBLE)
+                    == (stationary & (res > eps))).all()
             # a non-finite problem reports the iteration that went
             # non-finite and stores its plan as of the end of it
             assert np.isnan(P[~finite]).any(axis=(1, 2)).all()
@@ -580,7 +590,7 @@ class TestBapgBatch:
         M, C1, C2, mu, nu = self._stack(rng, 3, 3, 3)
         M[1] = np.inf
         cfg = ot.FgwConfig(alpha=0.5, max_iters=20)
-        P, iters, status = bapg_batch_numpy(
+        P, iters, status, _ = bapg_batch_numpy(
             M, C1, C2, mu, nu, cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
             ot.initial_plan(mu, nu, cfg))
         assert status.tolist() == [STATUS_MAX_ITERS, STATUS_NON_FINITE,
@@ -600,7 +610,7 @@ class TestBapgBatch:
         cfg = ot.FgwConfig(alpha=0.5, max_iters=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            P, iters, status = bapg_batch_numpy(
+            P, iters, status, _ = bapg_batch_numpy(
                 costs.M.data[None], costs.C1.data[None], costs.C2.data[None],
                 mu[None], nu[None], cfg.alpha, cfg.beta, cfg.max_iters,
                 cfg.tol, ot.initial_plan(mu[None], nu[None], cfg))
@@ -619,7 +629,7 @@ class TestBapgBatch:
         cfg = ot.FgwConfig(alpha=0.5, beta=0.1, max_iters=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            P, _, _ = bapg_batch_numpy(
+            P, _, _, _ = bapg_batch_numpy(
                 M, costs.C1.data[None], costs.C2.data[None], mu, nu,
                 cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
                 ot.initial_plan(mu, nu, cfg))
