@@ -7,6 +7,10 @@ backward pass over the tape fills the ``grad`` field of every tensor
 created with ``requires_grad=True``. The tape is rebuilt from scratch for
 each training step, so the graph can change freely between steps.
 
+The tape keeps what backward cannot cheaply recompute. A dense layer,
+dropout included, is one op that keeps its dropout masks as bool arrays
+and recomputes the dropped-out inputs in backward.
+
 The module owns the active tape, and the tape owns its ops and their
 tensors. Tensors refer back to their tape only weakly, so reset_tape()
 frees the previous step's tape and every intermediate on it by reference
@@ -426,19 +430,73 @@ def sum_rows(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# regularization
+# dense layers
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout (training mode); the identity map at rate 0."""
+def dense(inputs: Sequence[Tensor], weights: Sequence[Tensor],
+          bias: Optional[Tensor] = None, rate: float = 0.0,
+          rng: Optional[np.random.Generator] = None) -> Tensor:
+    """sum_k dropout(x_k) W_k (+ bias) as one op, with inverted dropout at
+    `rate` on every input x_k.
+
+    The masks are drawn in input order, one rng.random(x_k.shape) each,
+    and kept as bool arrays; rate 0 draws nothing. The terms x_k W_k and
+    the bias are summed in adjacent pairs, ((t0 + t1) + (t2 + t3)) + ...,
+    the order of the chain of adds this op replaces. Backward recomputes
+    each dropped-out input from x_k and its mask instead of storing it,
+    and computes no product for an operand that carries no gradient.
+    """
     if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    a = _lift(a)
-    if rate == 0.0:
-        return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) >= rate) / keep
-    return make_op("dropout", (a,), a.data * mask, lambda g: (g * mask,))
+        raise ValueError(f"dense: dropout rate must be in [0, 1), got {rate}")
+    xs = tuple(_lift(x) for x in inputs)
+    ws = tuple(_lift(w) for w in weights)
+    if not xs or len(xs) != len(ws):
+        raise ValueError(f"dense: {len(xs)} inputs for {len(ws)} weights")
+    n, m = xs[0].shape[0], ws[0].shape[1]
+    for x, w in zip(xs, ws):
+        if x.shape[0] != n or x.shape[1] != w.shape[0] or w.shape[1] != m:
+            raise ValueError(f"dense: input {x.shape} and weight {w.shape} "
+                             f"do not give an ({n}, {m}) product")
+    if bias is not None:
+        bias = _lift(bias)
+        if bias.shape != (1, m):
+            raise ValueError(f"dense: bias must be (1, {m}), got {bias.shape}")
+    xd = [x.data for x in xs]
+    wd = [w.data for w in ws]
+    scale = 1.0 / (1.0 - rate)
+    masks = [rng.random(x.shape) >= rate for x in xd] if rate > 0.0 else None
 
+    def dropped(k):
+        if masks is None:
+            return xd[k]
+        out = np.multiply(xd[k], masks[k])
+        out *= scale
+        return out
+
+    terms = [dropped(k) @ wd[k] for k in range(len(xd))]
+    if bias is not None:
+        terms.append(bias.data)
+    while len(terms) > 1:
+        # the left term of a pair is always an owned (n, m) product
+        for i in range(0, len(terms) - 1, 2):
+            terms[i] += terms[i + 1]
+        terms = terms[::2]
+
+    def back(g):
+        gx, gw = [], []
+        for k, (x, w) in enumerate(zip(xs, ws)):
+            gi = None
+            if x._flow:
+                gi = g @ wd[k].T
+                if masks is not None:
+                    gi *= masks[k]
+                    gi *= scale
+            gx.append(gi)
+            gw.append(dropped(k).T @ g if w._flow else None)
+        gb = [] if bias is None else [g.sum(axis=0, keepdims=True)]
+        return (*gx, *gw, *gb)
+
+    operands = xs + ws + (() if bias is None else (bias,))
+    return make_op("dense", operands, terms[0], back)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ anchors and pairs the batch has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
@@ -165,7 +165,8 @@ def loss_fusion(lam: Tensor, h_s: Tensor, h_f: Tensor, alpha: float,
 @dataclass
 class LossBreakdown:
     """Scalar parts plus bookkeeping; skipped parts contribute zero.
-    `solver` holds the solver_stats fields of the transport solves."""
+    `solver` holds the solver_stats fields of the transport solves, and
+    `channels` the gate and channel statistics train.run_epoch adds."""
 
     l_ot: Optional[Tensor]
     l_node: Optional[Tensor]
@@ -175,6 +176,7 @@ class LossBreakdown:
     anchors_excluded: int
     skipped: tuple[str, ...]
     solver: dict
+    channels: dict = field(default_factory=dict)
 
 
 def total_loss(l_ot: Optional[Tensor], l_node: Optional[Tensor],

@@ -11,6 +11,11 @@ structure channel the normalized-adjacency support reweights neighbors.
 Fusion computes a per-node gate lambda_i = psi([h_f_i, h_s_i, score_i])
 in [0, 1] and returns H = H_f + lambda * H_s; one psi instance is shared
 by the encoder-side and generator-side fusions.
+
+Each projection and each layer of psi is one autodiff.dense op, with
+the layer's dropout drawn inside it (the encoder rate on the projections'
+inputs, the fusion rate on psi's first layer), and the gated sum is one
+combine_channels op.
 """
 
 from __future__ import annotations
@@ -67,8 +72,19 @@ def prepare_graph(g: Graph, degree_feature: str = "raw",
 
 
 def combine_channels(h_f: Tensor, h_s: Tensor, lam: Tensor) -> Tensor:
-    """H = H_f + lambda * H_s with lambda an N x 1 gate."""
-    return ad.add(h_f, ad.mul(lam, h_s))
+    """H = H_f + lambda * H_s with lambda an N x 1 gate, as one op."""
+    if h_f.shape != h_s.shape or lam.shape != (h_f.shape[0], 1):
+        raise ValueError(f"combine_channels: channels {h_f.shape} and "
+                         f"{h_s.shape}, gate {lam.shape}")
+    hf, hs, gate = h_f.data, h_s.data, lam.data
+    out = gate * hs
+    out += hf
+
+    def back(g):
+        return (g, g * gate if h_s._flow else None,
+                (g * hs).sum(axis=1, keepdims=True) if lam._flow else None)
+
+    return ad.make_op("combine_channels", (h_f, h_s, lam), out, back)
 
 
 @dataclass
@@ -151,42 +167,32 @@ class Model:
     # -- forward pieces -----------------------------------------------------
 
     def _psi(self, prefix: str, h_f: Tensor, h_s: Tensor, scores: Tensor,
-             rate: float, training: bool,
-             rng: Optional[np.random.Generator]) -> Tensor:
+             training: bool, rng: Optional[np.random.Generator]) -> Tensor:
         p = self.params
-        if training:
-            h_f = ad.dropout(h_f, rate, rng)
-            h_s = ad.dropout(h_s, rate, rng)
-            scores = ad.dropout(scores, rate, rng)
-        pre = ad.add(ad.add(ad.matmul(h_f, p[prefix + "wf"]),
-                            ad.matmul(h_s, p[prefix + "ws"])),
-                     ad.add(ad.matmul(scores, p[prefix + "wd"]),
-                            p[prefix + "b1"]))
+        pre = ad.dense((h_f, h_s, scores),
+                       (p[prefix + "wf"], p[prefix + "ws"], p[prefix + "wd"]),
+                       p[prefix + "b1"],
+                       self.fusion_dropout if training else 0.0, rng)
         hidden = ad.prelu(pre, p[prefix + "slope"])
-        return ad.sigmoid(ad.add(ad.matmul(hidden, p[prefix + "w2"]),
-                                 p[prefix + "b2"]))
+        return ad.sigmoid(ad.dense((hidden,), (p[prefix + "w2"],),
+                                   p[prefix + "b2"]))
 
     def encode(self, gt: GraphTensors, training: bool = False,
                rng: Optional[np.random.Generator] = None
                ) -> tuple[Tensor, Tensor]:
         """Final-layer channels (H_f, H_s), left unfused."""
         p = self.params
-        z = gt.x
         if gt.x.shape[1] != self.num_features:
             raise ValueError(
                 f"graph has {gt.x.shape[1]} features, model expects "
                 f"{self.num_features}")
-        if training:
-            z = ad.dropout(z, self.dropout, rng)
-        t1 = ad.matmul(z, p["enc_w1"])
+        rate = self.dropout if training else 0.0
+        t1 = ad.dense((gt.x,), (p["enc_w1"],), rate=rate, rng=rng)
         f1 = ad.prelu(t1, p["enc_slope1"])
         s1 = ad.prelu(spmm(gt.adj_norm, t1), p["enc_slope1"])
-        lam1 = self._psi("enc_fuse_", f1, s1, gt.scores,
-                         self.fusion_dropout, training, rng)
+        lam1 = self._psi("enc_fuse_", f1, s1, gt.scores, training, rng)
         z1 = combine_channels(f1, s1, lam1)
-        if training:
-            z1 = ad.dropout(z1, self.dropout, rng)
-        t2 = ad.matmul(z1, p["enc_w2"])
+        t2 = ad.dense((z1,), (p["enc_w2"],), rate=rate, rng=rng)
         h_f = ad.prelu(t2, p["enc_slope2"])
         h_s = ad.prelu(spmm(gt.adj_norm, t2), p["enc_slope2"])
         return h_f, h_s
@@ -205,8 +211,7 @@ class Model:
              training: bool = False,
              rng: Optional[np.random.Generator] = None
              ) -> tuple[Tensor, Tensor]:
-        lam = self._psi("fuse_", h_f, h_s, scores, self.fusion_dropout,
-                        training, rng)
+        lam = self._psi("fuse_", h_f, h_s, scores, training, rng)
         return combine_channels(h_f, h_s, lam), lam
 
     def forward(self, gt: GraphTensors, training: bool = False,

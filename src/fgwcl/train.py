@@ -6,7 +6,8 @@ node and fusion losses -> backward and two Adam updates (one state for
 encoder+generator weights, one for the shared fusion MLP). One JSON
 metrics line is appended and flushed per epoch, so every prefix of the
 stream is valid line-delimited JSON. Each line carries the losses, the
-solver telemetry, the phase times and the process's peak RSS so far.
+solver telemetry, the fusion gate's range and the channels' mean row
+norms, the phase times and the process's peak RSS so far.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def epoch_seed(base: int, epoch: int, stream: int = 0) -> int:
 
 def _scalar(t) -> Optional[float]:
     return None if t is None else t.item
+
+
+def _channel_stats(lam: ad.Tensor, h_f: ad.Tensor, h_s: ad.Tensor) -> dict:
+    """The fusion gate's mean, min and max, and the mean row norms of the
+    feature and structure channels."""
+    gate = lam.data
+    return {
+        "lam_mean": float(gate.mean()),
+        "lam_min": float(gate.min()),
+        "lam_max": float(gate.max()),
+        "h_f_norm_mean": float(np.linalg.norm(h_f.data, axis=1).mean()),
+        "h_s_norm_mean": float(np.linalg.norm(h_s.data, axis=1).mean()),
+    }
 
 
 def _epoch_views(model: Model, gt: GraphTensors, cfg: TrainConfig,
@@ -130,6 +144,7 @@ def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
     breakdown = total_loss(l_ot, l_node, l_fusion, anchors_used=used,
                            anchors_excluded=excluded, plans=plans or ())
     times["node"] = time.perf_counter() - t0
+    breakdown.channels = _channel_stats(lam, h_f, h_s)
     return breakdown, times
 
 
@@ -159,6 +174,7 @@ def _record(epoch: int, breakdown: LossBreakdown, times: dict) -> dict:
         "anchors_excluded": breakdown.anchors_excluded,
         "skipped": list(breakdown.skipped),
         **breakdown.solver,
+        **breakdown.channels,
     }
     for phase in PHASES:
         rec[f"time_{phase}_ms"] = round(times.get(phase, 0.0) * 1e3, 4)

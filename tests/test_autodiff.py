@@ -262,28 +262,129 @@ class TestGradients:
         check_grad(build, {"a": a})
 
 
+def reference_dropout(a, rate, rng):
+    """Inverted dropout as the separate op the dense op replaced."""
+    if rate == 0.0:
+        return a
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return ad.mul(a, ad.constant(mask))
+
+
+def unfused_dense_reference(xs, ws, bias, rate, rng):
+    """dropout -> matmul -> add, one op each, with the terms and the bias
+    summed in adjacent pairs: psi's (A + B) + (C + b) order."""
+    terms = [ad.matmul(reference_dropout(x, rate, rng), w)
+             for x, w in zip(xs, ws)]
+    if bias is not None:
+        terms.append(bias)
+    while len(terms) > 1:
+        terms = [ad.add(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
+                 for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def dense_case(rng, inputs, with_bias, constant_input):
+    """Operands of a dense layer with inputs of widths 4, 1, 3 (a score
+    column among them) onto 5 outputs; with constant_input, the last
+    input is a constant and not among the returned params."""
+    widths = (4, 1, 3)[:inputs]
+    params = {f"x{k}": rng.standard_normal((6, w))
+              for k, w in enumerate(widths)}
+    params.update({f"w{k}": rng.standard_normal((w, 5))
+                   for k, w in enumerate(widths)})
+    if with_bias:
+        params["b"] = rng.standard_normal((1, 5))
+    const = (ad.constant(params.pop(f"x{inputs - 1}")) if constant_input
+             else None)
+
+    def operands(p):
+        return ([p.get(f"x{k}", const) for k in range(inputs)],
+                [p[f"w{k}"] for k in range(inputs)], p.get("b"))
+
+    return params, operands
+
+
+class TestDense:
+    @pytest.mark.parametrize("constant_input", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("inputs", [1, 3])
+    def test_matches_unfused_reference(self, rng, inputs, with_bias, rate,
+                                       constant_input):
+        params, operands = dense_case(rng, inputs, with_bias, constant_input)
+        target = ad.constant(rng.standard_normal((6, 5)))
+        results = []
+        for layer in (ad.dense, unfused_dense_reference):
+            ad.reset_tape()
+            leaves = {k: ad.Tensor(v, requires_grad=True)
+                      for k, v in params.items()}
+            out = layer(*operands(leaves), rate, np.random.default_rng(9))
+            ad.backward(ad.sum_all(ad.mul(out, target)))
+            results.append((out.data, {k: t.grad for k, t in leaves.items()}))
+        (fused, fused_grads), (chain, chain_grads) = results
+        np.testing.assert_array_equal(fused, chain)
+        for k, g in chain_grads.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert rel_err(fused_grads[k], g, floor=scale) < 1e-12
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_gradient(self, rng, rate):
+        params, operands = dense_case(rng, 3, True, False)
+        target = ad.constant(rng.standard_normal((6, 5)))
+        check_grad(lambda p: ad.sum_all(ad.mul(
+            ad.dense(*operands(p), rate, np.random.default_rng(4)), target)),
+            params)
+
+    def test_constant_input_gets_no_product(self, rng):
+        ad.reset_tape()
+        x = ad.constant(rng.standard_normal((4, 3)))
+        w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        out = ad.dense((x,), (w,), rate=0.5, rng=rng)
+        op = ad.active_tape().ops[-1]
+        grads = op.backward_rule(np.ones(out.shape))
+        assert grads[0] is None and grads[1].shape == (3, 2)
+
+    def test_mismatched_operands_rejected(self, rng):
+        x = ad.Tensor(rng.standard_normal((4, 3)))
+        with pytest.raises(ValueError, match="dense"):
+            ad.dense((x,), (ad.Tensor(np.ones((2, 2))),))
+        with pytest.raises(ValueError, match="dense"):
+            ad.dense((x,), (ad.Tensor(np.ones((3, 2))),),
+                     ad.Tensor(np.ones((1, 3))))
+        with pytest.raises(ValueError, match="dense"):
+            ad.dense((x, x), (ad.Tensor(np.ones((3, 2))),))
+
+
 class TestDropout:
+    """Dropout inside the dense op, seen through an identity weight."""
+
     def test_training_mask_scaling(self):
         rng = np.random.default_rng(7)
         a = ad.Tensor(np.ones((200, 50)))
-        out = ad.dropout(a, 0.3, rng).data
+        out = ad.dense((a,), (ad.constant(np.eye(50)),), rate=0.3,
+                       rng=rng).data
         kept = out != 0.0
         assert_allclose(out[kept], 1.0 / 0.7)
         assert abs(kept.mean() - 0.7) < 0.02
 
     def test_zero_rate_is_identity(self, rng):
         a = ad.Tensor(np.ones((3, 3)))
-        assert ad.dropout(a, 0.0, rng) is a
+        out = ad.dense((a,), (ad.constant(np.eye(3)),), rate=0.0, rng=rng)
+        np.testing.assert_array_equal(out.data, a.data)
+        # nothing was drawn: the rng's next number is its first
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_rate_bounds(self, rng):
-        with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([[1.0]]), 1.0, rng)
+        for rate in (1.0, 1.5):
+            with pytest.raises(ValueError):
+                ad.dense((ad.Tensor([[1.0]]),), (ad.constant([[1.0]]),),
+                         rate=rate, rng=rng)
 
     def test_gradient_uses_mask(self):
         rng = np.random.default_rng(3)
         ad.reset_tape()
         t = ad.Tensor(np.ones((10, 10)), requires_grad=True)
-        out = ad.dropout(t, 0.4, rng)
+        out = ad.dense((t,), (ad.constant(np.eye(10)),), rate=0.4, rng=rng)
         ad.backward(ad.sum_all(out))
         # gradient equals the mask: zero where dropped, 1/keep elsewhere
         assert_allclose(t.grad, out.data)

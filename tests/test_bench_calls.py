@@ -74,12 +74,16 @@ def test_check_pairs_finds_no_problems(workloads):
     assert report.problems == []
 
 
-@pytest.mark.parametrize("node_loss", ["full", "v2"])
-def test_check_gradient_finds_no_problems(workloads, node_loss):
+@pytest.mark.parametrize("settings", [
+    dict(node_loss="full"), dict(node_loss="v2"),
+    dict(node_loss="full", dropout=0.4, fusion_dropout=0.1)],
+    ids=["full", "v2", "full-dropout"])
+def test_check_gradient_finds_no_problems(workloads, settings):
     # central differences of the run_epoch total along random directions,
-    # plans held fixed, against the taped gradient
+    # plans held fixed, against the taped gradient; with dropout, every
+    # run_epoch call redraws the epoch's masks from the same seed
     g = tiny_graph()
-    cfg = tiny_config(node_loss=node_loss)
+    cfg = tiny_config(**settings)
     fgw = train.fgw_config(cfg)
     backend = get_backend()
     model = train.build_model(cfg, g)

@@ -1,5 +1,7 @@
 """Sparse attention ops against dense oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -134,6 +136,29 @@ class TestAttentionAggregate:
             ad.mul(go.attention_aggregate(p["alpha"], p["z"], support),
                    ad.constant(w))),
             {"alpha": alpha, "z": z})
+
+    def test_memory_below_one_edge_buffer(self, rng):
+        # about 17 edges per node: an (E, d) array is 8.3 MiB, and forward
+        # plus backward must never hold one
+        n, d = 2000, 32
+        adj = sp.random(n, n, density=0.008, random_state=1, format="csr")
+        support = go.GraphSupport.from_sparse(adj)
+        edge_buffer = support.num_edges * d * 8
+        assert edge_buffer >= 8 * 2 ** 20
+        alpha = ad.Tensor(rng.random((support.num_edges, 1)),
+                          requires_grad=True)
+        z = ad.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w = ad.constant(rng.standard_normal((n, d)))
+        ad.reset_tape()
+        tracemalloc.start()
+        try:
+            ad.backward(ad.sum_all(ad.mul(
+                go.attention_aggregate(alpha, z, support), w)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha.grad is not None and z.grad is not None
+        assert peak < edge_buffer
 
 
 class TestGatLayer:

@@ -198,6 +198,26 @@ class TestFuse:
         open_ = combine_channels(h_f, h_s, ad.constant(np.ones((10, 1))))
         assert_allclose(open_.data, h_f.data + h_s.data)
 
+    def test_combine_channels_gradient(self, rng):
+        check_grad(lambda p: ad.sum_all(ad.mul(
+            combine_channels(p["h_f"], p["h_s"], p["lam"]),
+            ad.constant(np.arange(12.0).reshape(4, 3)))),
+            {"h_f": rng.standard_normal((4, 3)),
+             "h_s": rng.standard_normal((4, 3)),
+             "lam": rng.random((4, 1))})
+
+    def test_training_psi_records_two_dense_ops(self, rng):
+        # dropout lives inside the dense op: one tape record per layer
+        model = small_model(fusion_dropout=0.3)
+        h_f = ad.Tensor(rng.standard_normal((10, 5)), requires_grad=True)
+        h_s = ad.Tensor(rng.standard_normal((10, 5)), requires_grad=True)
+        scores = ad.constant(rng.random((10, 1)))
+        ad.reset_tape()
+        model.fuse(h_f, h_s, scores, training=True, rng=rng)
+        kinds = [op.kind for op in ad.active_tape().ops]
+        assert kinds == ["dense", "prelu", "dense", "sigmoid",
+                         "combine_channels"]
+
     def test_gate_is_deterministic(self, rng):
         g = small_graph(rng)
         model = small_model()
@@ -269,6 +289,25 @@ class TestGradients:
             mix = ad.add(ad.add(ad.mean_all(out.h), ad.mean_all(out.h_hat)),
                          ad.mean_all(out.lam))
             return mix
+
+        check_grad(build, params, h=1e-5, tol=1e-4)
+
+    def test_training_forward_matches_finite_differences(self, rng):
+        # every build draws the dropout masks from a fresh rng of one
+        # seed, so each perturbed forward pass sees the same masks
+        g = small_graph(rng, n=10, num_features=3)
+        gt = prepare_graph(g)
+        model = Model(3, hidden_dim=4, out_dim=3, dropout=0.4,
+                      fusion_dropout=0.1, seed=1)
+        params = {k: v.data.copy() for k, v in model.params.items()}
+
+        def build(leaves):
+            for k, t in leaves.items():
+                model.params[k] = t
+            out = model.forward(gt, training=True,
+                                rng=np.random.default_rng(2))
+            return ad.add(ad.add(ad.mean_all(out.h), ad.mean_all(out.h_hat)),
+                          ad.mean_all(out.lam))
 
         check_grad(build, params, h=1e-5, tol=1e-4)
 

@@ -126,6 +126,20 @@ class TestTrainLoop:
             assert 0.0 <= rec["ot_infeasible_share"] <= 1.0
             assert 0.0 <= rec["ot_row_residual_max"] <= 1.0
 
+    def test_gate_and_channel_fields_in_every_record(self, tmp_path):
+        cfg = tiny_config()
+        result = train(cfg, tiny_graph(), tmp_path / "run")
+        summary = json.loads(result.summary_path.read_text())
+        records = load_metrics(result.metrics_path)
+        assert len(records) == cfg.epochs
+        for rec in records + [summary["final"]]:
+            fields = [rec[k] for k in ("lam_mean", "lam_min", "lam_max",
+                                       "h_f_norm_mean", "h_s_norm_mean")]
+            assert np.isfinite(fields).all()
+            assert 0.0 <= rec["lam_min"] <= rec["lam_mean"] \
+                <= rec["lam_max"] <= 1.0
+            assert rec["h_f_norm_mean"] > 0.0 and rec["h_s_norm_mean"] > 0.0
+
     def test_peak_rss_in_every_record(self, tmp_path):
         cfg = tiny_config(epochs=3)
         result = train(cfg, tiny_graph(), tmp_path / "run")
