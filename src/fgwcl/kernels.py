@@ -17,10 +17,27 @@ row, or per column) and takes one exp of the shifted values; the plan is
 that exp times marginal / sum, and logP the shifted values plus the log
 of that factor. Row and column sums, and the squared Frobenius change,
 are BLAS matrix-vector products over the whole stack, not numpy
-reductions over short axes. Work stacks are reused across iterations.
-The stack keeps its size for the whole solve: a problem that stops has
-its plan stored and goes on iterating with the rest, unrecorded, until
-no problem is running, so no array is ever sliced or rebound.
+reductions over short axes. Work stacks, the per-axis shifts, sums and
+scales among them, are allocated once and reused across iterations.
+Each iteration first tests only the smallest squared change: when its
+root is above eps, every problem is finite and none has converged. The
+stack keeps its size for the whole solve: a problem that stops has its
+plan stored and goes on iterating with the rest, unrecorded, until no
+problem is running, so no array is ever sliced or rebound.
+
+No plan entry is subnormal: each half-step sets the entries below the
+smallest normal double (TINY, about 2.2e-308) to exactly 0 after its
+rescale, so none reaches the two products of the next half-step, the
+sums, the Frobenius change, the returned plans or the products callers
+form with them. logP is left as it is, so the log-domain trajectory
+does not change; NaN entries stay NaN and zeros stay 0. The CPU takes a
+microcode assist on every subnormal operand: at beta = 0.1 about 1% of
+a plan's entries end up subnormal, and that made C1 @ P on such a plan
+5-11x slower than on the same plan with them zeroed (1.01 ms against
+0.18 ms at n = 200, 104 us against 10 us at n = 60, on an AVX-512 Xeon
+with one BLAS thread). A flushed entry is negligible next to the
+normal terms it is summed with, so at most a rounding tie goes the
+other way: plans match the unflushed iteration's to rounding.
 
 (L tensor P) = (C1 o C1) P1 1^T + 1 (P^T 1)^T (C2 o C2)^T - 2 C1 P C2^T.
 The first term is constant along each row and the second along each
@@ -34,8 +51,8 @@ iteration cap, 2 non-finite values, 3 stationary with a row residual
 above eps. The row residual max_i |(P 1)_i - mu_i| is measured once,
 after the loop, on every returned plan (its columns sum to nu), and
 returned with it. A non-finite value in either half-step of an
-iteration makes that iteration's Frobenius change non-finite, the one
-finiteness test per iteration; the problem then reports that iteration
+iteration makes that iteration's Frobenius change non-finite, and so
+the smallest squared change NaN; the problem then reports that iteration
 and stores its plan as of the end of it, which holds NaN. A problem
 that has stopped is not recorded again, even if it turns non-finite
 later. An overflow in C1 o C1 or C2 o C2 meets a positive marginal in
@@ -45,6 +62,7 @@ setup raises no numpy warning.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,6 +72,9 @@ STATUS_CONVERGED = 0
 STATUS_MAX_ITERS = 1
 STATUS_NON_FINITE = 2
 STATUS_STATIONARY_INFEASIBLE = 3
+
+# the smallest normal float64; the solver holds no plan entry below it
+TINY = np.finfo(np.float64).tiny
 
 
 def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
@@ -84,31 +105,35 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     running = np.ones(B, dtype=bool)
     ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
 
-    def row_sums(X):
-        """X 1 as a (B, n, 1) stack."""
-        return (X.reshape(-1, m) @ ones_m).reshape(-1, n, 1)
-
-    def col_sums(X):
-        """1^T X as a (B, 1, m) stack."""
-        return ones_n @ X
-
     def col_term(q):
         """(C2sq q)^T for a (B, 1, m) stack of column sums q."""
         return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
 
-    def half_step(X, out, fixed, axis, marginal):
+    def half_step(X, out, fixed, axis, marginal, S, out_rows=None):
         """One Bregman projection from the plan X into `out` (which may be
         X): logP -= G with G = C1m2 X C2T + fixed, then rescale along `axis`
-        (2: rows to mu, 1: columns to nu), which cancels G's omitted term."""
-        np.matmul(C1m2, X, out=T)
-        np.matmul(T, C2T, out=G)
-        np.add(G, fixed, out=G)
-        np.subtract(logP, G, out=logP)
-        np.subtract(logP, logP.max(axis=axis, keepdims=True), out=logP)
-        np.exp(logP, out=out)
-        scale = marginal / (row_sums(out) if axis == 2 else col_sums(out))
-        np.multiply(out, scale, out=out)
-        np.add(logP, np.log(scale), out=logP)
+        (2: rows to mu, 1: columns to nu), which cancels G's omitted term,
+        and flush the entries below TINY. S is the (B, n, 1) or (B, 1, m)
+        work stack of the axis: the shift, then the sums, then the scale.
+        For a row step, out_rows is `out` viewed as (B n, m).
+        Outputs are passed by position: the out= keyword costs ~0.07 us a
+        call, and a small solve is mostly per-call cost."""
+        np.matmul(C1m2, X, T)
+        np.matmul(T, C2T, G)
+        np.add(G, fixed, G)
+        np.subtract(logP, G, logP)
+        np.maximum.reduce(logP, axis, None, S, True)
+        np.subtract(logP, S, logP)
+        np.exp(logP, out)
+        if axis == 2:
+            np.matmul(out_rows, ones_m, rows_flat)
+        else:
+            np.matmul(ones_n, out, S)
+        np.divide(marginal, S, S)
+        np.multiply(out, S, out)
+        np.log(S, S)
+        np.add(logP, S, logP)
+        out[out < TINY] = 0.0
 
     def stop(done, code, it):
         """Store the running problems in `done` as stopped at iteration
@@ -135,22 +160,33 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         nu = np.asarray(nu, dtype=np.float64)[:, None, :]
         P = np.array(P0, dtype=np.float64)
         logP = np.log(P)
-        # work stacks: the next iterate, the gradient and a scratch product
+        # work stacks: the next iterate, the gradient, a scratch product,
+        # the row and column work stacks and the squared Frobenius changes
         Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
+        rows, cols = np.empty((B, n, 1)), np.empty((B, 1, m))
+        T_flat, sq = T.reshape(B, -1), np.empty(B)
+        P_rows, Q_rows, rows_flat = (P.reshape(-1, m), Q.reshape(-1, m),
+                                     rows.reshape(-1))
         # a row step starts from columns summing to nu and a column step
         # from rows summing to mu, which fixes the terms they keep; only
         # the first row step starts from P0, whose columns are not nu
-        row_fixed = aM + col_term(col_sums(P))
+        row_fixed = aM + col_term(ones_n @ P)
         col_fixed = aM + (step * (C1 * C1)) @ mu
         for it in range(1, max_iters + 1):
-            half_step(P, Q, row_fixed, 2, mu)
-            half_step(Q, Q, col_fixed, 1, nu)
+            half_step(P, Q, row_fixed, 2, mu, rows, Q_rows)
+            half_step(Q, Q, col_fixed, 1, nu, cols)
             if it == 1:
                 row_fixed = aM + col_term(nu)
-            np.subtract(Q, P, out=T)
-            T *= T
-            delta = np.sqrt(T.reshape(B, -1) @ ones_nm)
-            P, Q = Q, P
+            np.subtract(Q, P, T)
+            np.multiply(T, T, T)
+            np.matmul(T_flat, ones_nm, sq)
+            P, Q, P_rows, Q_rows = Q, P, Q_rows, P_rows
+            # sqrt is monotone and correctly rounded, and min propagates
+            # NaN: this holds exactly when every delta below is finite and
+            # above eps, so that there is nothing to record
+            if math.sqrt(sq.min()) > eps:
+                continue
+            delta = np.sqrt(sq)
             finite = np.isfinite(delta)
             if not finite.all() and not stop(~finite, STATUS_NON_FINITE, it):
                 break

@@ -59,20 +59,25 @@ def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
 
 
 def solver_stats(plans: list) -> dict:
-    """Convergence of one batch of solves, as metrics record fields; every
-    field is None when there were no solves."""
+    """Convergence of one batch of solves, as metrics record fields, with
+    the share of plan entries that are exactly 0 (underflowed in exp, or
+    flushed below the smallest normal double); every field is None when
+    there were no solves."""
     if not plans:
         return {"ot_iters_mean": None, "ot_iters_max": None,
                 "ot_capped_share": None, "ot_infeasible_share": None,
-                "ot_row_residual_max": None}
+                "ot_row_residual_max": None, "ot_plan_zero_share": None}
     iters = np.array([p.iterations for p in plans])
     status = np.array([p.status for p in plans])
+    P = np.stack([p.P for p in plans])
     return {"ot_iters_mean": float(iters.mean()),
             "ot_iters_max": int(iters.max()),
             "ot_capped_share": float((status == STATUS_MAX_ITERS).mean()),
             "ot_infeasible_share":
                 float((status == STATUS_STATIONARY_INFEASIBLE).mean()),
-            "ot_row_residual_max": max(p.residual for p in plans)}
+            "ot_row_residual_max": max(p.residual for p in plans),
+            "ot_plan_zero_share":
+                float(P.size - np.count_nonzero(P)) / P.size}
 
 
 def ot_loss_from_distances(distances: Tensor, tau: float) -> Tensor:

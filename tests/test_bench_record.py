@@ -1,0 +1,61 @@
+"""The checked-in BENCH_*.json files and the recorder that writes them."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _recorder():
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_bench_file_is_checked_in():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_every_record_names_every_benchmark_metric_with_its_unit(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"]
+             for m in spec["end_to_end"] + spec["per_layer"]}
+    wrong = _recorder().WRONG_TRACED
+    doc = json.loads(path.read_text())
+    assert doc["records"]
+    for rec in doc["records"]:
+        seen = set()
+        for run in rec["runs"]:
+            assert {"correct", "attempted", "failed"} <= set(run)
+            for name, metric in run["metrics"].items():
+                assert metric["unit"] == units[name], name
+                assert ("wrong" in metric) == (name in wrong)
+                seen.add(name)
+        assert seen == set(units), rec["label"]
+        assert {"rev", "src_sha256", "machine", "tier1"} <= set(rec)
+        assert {"cpu_count", "numpy", "blas", "blas_threads"} <= set(
+            rec["machine"])
+        assert len(rec["tier1"]["slowest"]) == 10
+
+
+def test_tier1_summary_is_parsed_from_pytest_output():
+    text = "\n".join([
+        "=== slowest 10 durations ===",
+        "13.55s call     tests/test_a.py::test_slow",
+        "0.20s setup    tests/test_b.py::test_fixture",
+        "=== short test summary info ===",
+        "FAILED tests/test_a.py::test_slow",
+        "1 failed, 448 passed, 1 skipped in 47.30s"])
+    tier1 = _recorder().parse_tier1(text)
+    assert tier1["outcome"] == "1 failed, 448 passed, 1 skipped"
+    assert tier1["wall_s"] == 47.30
+    assert tier1["slowest"] == [
+        {"seconds": 13.55, "test": "tests/test_a.py::test_slow"},
+        {"seconds": 0.20, "test": "tests/test_b.py::test_fixture"}]

@@ -15,6 +15,9 @@ from fgwcl.kernels import (STATUS_CONVERGED, STATUS_MAX_ITERS,
                            bapg_batch_numpy, get_backend)
 from conftest import check_grad
 
+# the smallest normal float64
+TINY = np.finfo(np.float64).tiny
+
 
 def naive_tensor_product(C1, C2, P):
     """Quadruple-loop reference for (L tensor P), L_ijkl=(C1_ik-C2_jl)^2."""
@@ -528,11 +531,13 @@ class TestBapgBatch:
             assert (iters[i], status[i]) == (it[0], code[0])
 
     # beta=0.1 is the `fgwcl distance` default: a 10x larger structure
-    # step, where the terms the kernel's half-steps omit are largest
+    # step, where the terms the kernel's half-steps omit are largest. The
+    # unflushed reference returns subnormal entries in the 12-12, 9-7 and
+    # both beta=0.1 cases, and many exact zeros at 40-30
     @pytest.mark.parametrize(
         "n,m,beta", [(1, 1, 1.0), (4, 4, 1.0), (12, 12, 1.0), (9, 7, 1.0),
-                     (9, 7, 0.1)],
-        ids=["1-1", "4-4", "12-12", "9-7", "9-7-beta0.1"])
+                     (9, 7, 0.1), (40, 30, 0.1)],
+        ids=["1-1", "4-4", "12-12", "9-7", "9-7-beta0.1", "40-30-beta0.1"])
     def test_matches_reference_iteration(self, rng, n, m, beta):
         args = mixed_stack(rng, n, m, beta)
         P_ref, it_ref, code_ref = reference_bapg_batch(*args)
@@ -560,6 +565,10 @@ class TestBapgBatch:
             finite = code != STATUS_NON_FINITE
             assert_allclose(P[finite], P_ref[part][finite], rtol=0,
                             atol=1e-12)
+            # the kernel flushes entries below the smallest normal double
+            # to 0, so no subnormal reaches its products or its caller
+            entries = P[np.isfinite(P)]
+            assert not ((entries > 0) & (entries < TINY)).any()
             # the returned residual is the row residual of the plan, and
             # status 3 marks exactly the stationary stops above eps
             assert_allclose(res[finite], res_ref[part][finite], rtol=0,

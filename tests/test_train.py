@@ -76,6 +76,7 @@ class TestTrainLoop:
         for rec in result.records:
             assert rec["l_ot"] is None
             assert "ot" in rec["skipped"]
+            assert rec["ot_plan_zero_share"] is None
             assert np.isfinite(rec["total"])
 
     def test_v2_node_loss_runs(self, tmp_path):
@@ -125,6 +126,7 @@ class TestTrainLoop:
             assert 0.0 <= rec["ot_capped_share"] <= 1.0
             assert 0.0 <= rec["ot_infeasible_share"] <= 1.0
             assert 0.0 <= rec["ot_row_residual_max"] <= 1.0
+            assert 0.0 <= rec["ot_plan_zero_share"] <= 1.0
 
     def test_gate_and_channel_fields_in_every_record(self, tmp_path):
         cfg = tiny_config()

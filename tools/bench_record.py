@@ -1,0 +1,194 @@
+"""Record benchmark runs of a source checkout in a BENCH_<n>.json file.
+
+    python3 tools/bench_record.py --out BENCH_16.json --label change \
+        --seeds 4201 4202 --seconds 20 --tier1 tier1.txt
+
+Runs `bench/run.py` of the checkout at --tree (default: this repo) once
+per workload, trace level and seed, each in its own process, and reads
+the run's last two lines: the settings line and the result line. The
+runs go into the record named --label in --out, which is created if it
+does not exist; a run with the same workload, seed and trace as an
+earlier one of that record replaces it, so a record can be built up
+over several calls (to alternate two checkouts run by run, say).
+
+A record holds, next to its runs:
+- the checkout's git revision (`git describe --always --dirty`, or null
+  outside a git checkout) and a SHA-256 over the files of its `src/`,
+  which tells an uncommitted tree from its base;
+- the machine: core count, Python, numpy and BLAS versions, and the BLAS
+  threads the runs used;
+- with --tier1, the wall time, outcome and ten slowest tests of a saved
+  `pytest --durations=10` run of the tier-1 suite.
+
+Every metric keeps the unit the benchmark reports with it. Traced
+metrics known to measure something other than their name says are
+recorded as they are, with the fault under "wrong".
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("train-v2-n10000", "train-full-hetero-n2708", "distance-pairs")
+
+# traced metrics whose value does not mean what their name says
+WRONG_TRACED = {
+    "ot.cost_ms": "times a per-pair cost build that training does not "
+                  "run; only distance-pairs calls it",
+    "ot.converged_ratio": "counts solves with iterations < max_iters, "
+                          "not the solver's status codes",
+    "kernels.bapg_us_per_iter": "microseconds per problem-iteration, not "
+                                "per stacked iteration",
+    "kernels.bapg_us_per_iter.k4": "median of 3 repeats only; beta = 5 "
+                                   "problems, which never go subnormal",
+    "kernels.bapg_us_per_iter.k12": "median of 3 repeats only; beta = 5 "
+                                    "problems, which never go subnormal",
+    "kernels.bapg_us_per_iter.k30": "median of 3 repeats only; beta = 5 "
+                                    "problems, which never go subnormal",
+    "autodiff.retained_mb": "read before the tape is reset",
+    "train.trace_overhead_ms": "traced minus untraced epoch from different "
+                               "rounds; reads negative",
+}
+
+
+def git_rev(tree: Path):
+    try:
+        out = subprocess.run(["git", "-C", str(tree), "describe", "--always",
+                              "--dirty"], capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def src_sha256(tree: Path) -> str:
+    """SHA-256 over the relative paths and contents of src/'s files."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file()
+                       and "__pycache__" not in p.parts):
+        digest.update(str(path.relative_to(src)).encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def machine(info: dict) -> dict:
+    """The machine and library versions, from a run's settings line and
+    this interpreter's numpy (the one the runs import)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu_count": info["cpu_count"], "python": info["python"],
+            "numpy": info["numpy"],
+            "blas": {"name": blas.get("name"),
+                     "version": blas.get("version")},
+            "blas_threads": info["blas_threads"]}
+
+
+def parse_tier1(text: str) -> dict:
+    """Outcome, wall time and slowest tests of a saved pytest run."""
+    slowest = [{"seconds": float(s), "test": t} for s, t in re.findall(
+        r"^\s*([\d.]+)s\s+(?:call|setup|teardown)\s+(\S+)", text, re.M)]
+    summary = re.findall(r"^=*\s*(\d+ (?:failed|passed).*?) in ([\d.]+)s",
+                         text, re.M)
+    if not summary:
+        raise ValueError("no pytest summary line found")
+    outcome, wall = summary[-1]
+    return {"outcome": outcome, "wall_s": float(wall),
+            "slowest": slowest[:10]}
+
+
+def run_one(tree: Path, workload: str, seed: int, trace: int,
+            seconds: float) -> tuple[dict, dict]:
+    """One bench/run.py process: its settings line, and the run as the
+    record keeps it."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} exited {out.returncode}: "
+                           f"{out.stderr.strip()[-2000:]}")
+    info = json.loads(lines[-2])["info"]
+    result = json.loads(lines[-1])
+    metrics = result["metrics"]
+    for name, fault in WRONG_TRACED.items():
+        if name in metrics:
+            metrics[name]["wrong"] = fault
+    return info, {"workload": workload, "seed": seed, "trace": trace,
+                  "seconds": seconds, "correct": result["correct"],
+                  "attempted": result["attempted"],
+                  "failed": result["failed"], "problems": info["problems"],
+                  "metrics": metrics}
+
+
+def record(path: Path, label: str, tree: Path, runs: list, info=None,
+           tier1=None) -> None:
+    """Merge runs, the machine of a settings line `info` and a tier-1
+    summary into the record `label` of the file at `path`."""
+    doc = json.loads(path.read_text()) if path.exists() else {
+        "benchmark": "BENCHMARK.json", "wrong_traced_metrics": WRONG_TRACED,
+        "records": []}
+    rec = next((r for r in doc["records"] if r["label"] == label), None)
+    if rec is None:
+        rec = {"label": label, "runs": []}
+        doc["records"].append(rec)
+    rec.update(rev=git_rev(tree), src_sha256=src_sha256(tree))
+    if info is not None:
+        rec["machine"] = machine(info)
+    for run in runs:
+        key = (run["workload"], run["seed"], run["trace"])
+        rec["runs"] = [r for r in rec["runs"]
+                       if (r["workload"], r["seed"], r["trace"]) != key]
+        rec["runs"].append(run)
+    rec["runs"].sort(key=lambda r: (r["workload"], r["trace"], r["seed"]))
+    if tier1 is not None:
+        rec["tier1"] = tier1
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the BENCH file, relative to the repo root")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="source checkout to run (default: this repo)")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[])
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
+                        choices=WORKLOADS)
+    parser.add_argument("--traces", type=int, nargs="+", default=[0, 1],
+                        choices=(0, 1))
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--tier1", type=Path,
+                        help="saved output of a `pytest --durations=10` run")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    out = args.out if args.out.is_absolute() else ROOT / args.out
+    tier1 = parse_tier1(args.tier1.read_text()) if args.tier1 else None
+    runs, info = [], None
+    for seed in args.seeds:
+        for workload in args.workloads:
+            for trace in args.traces:
+                info, run = run_one(args.tree.resolve(), workload, seed,
+                                    trace, args.seconds)
+                print(json.dumps({k: run[k] for k in (
+                    "workload", "seed", "trace", "correct")}), flush=True)
+                runs.append(run)
+    record(out, args.label, args.tree.resolve(), runs, info, tier1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
