@@ -359,14 +359,6 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
                               np.sum(g * np.where(pos, 0.0, d)).reshape(1, 1)))
 
 
-def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    a = _lift(a)
-    d = a.data
-    pos = d > 0
-    return make_op("leaky_relu", (a,), np.where(pos, d, slope * d),
-                   lambda g: (np.where(pos, g, slope * g),))
-
-
 def l2_normalize_rows(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm; rows with norm < NORM_EPS map to zero."""
     a = _lift(a)

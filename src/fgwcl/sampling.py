@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -162,8 +163,10 @@ class ContrastBatch:
                 ad.vstack([ad.constant(self.adjacency.reshape(-1, k)),
                            a_hat]))
 
+    @cached_property
     def _measured(self) -> list[MeasuredSubgraph]:
-        """The 2A views one by one, by view id (for inspection)."""
+        """The 2A views one by one, by view id (for inspection), built on
+        first read and kept with the batch."""
         a, k = self.index.shape
         h, adj = (t.data.reshape(2 * a, k, -1)
                   for t in self.detached().views())
@@ -174,15 +177,15 @@ class ContrastBatch:
 
     @property
     def originals(self) -> list[MeasuredSubgraph]:
-        return self._measured()[:self.anchors.size]
+        return self._measured[:self.anchors.size]
 
     @property
     def perturbed(self) -> list[MeasuredSubgraph]:
-        return self._measured()[self.anchors.size:]
+        return self._measured[self.anchors.size:]
 
     @property
     def negatives(self) -> list[list[MeasuredSubgraph]]:
-        views = self._measured()
+        views = self._measured
         return [[views[v] for v in row[1:]] for row in self.partner_views]
 
 

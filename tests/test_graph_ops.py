@@ -77,90 +77,6 @@ class TestSpmm:
             go.spmm(a, ad.Tensor(np.zeros((3, 2))))
 
 
-class TestSegmentSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        support, _ = random_support(7, rng)
-        e = ad.Tensor(rng.standard_normal((support.num_edges, 1)) * 10)
-        alpha = go.segment_softmax(e, support).data[:, 0]
-        sums = np.add.reduceat(alpha, support.indptr[:-1])
-        assert_allclose(sums, 1.0, atol=1e-12)
-
-    def test_single_entry_segment_is_one(self):
-        s = go.GraphSupport(3, np.arange(4), np.arange(3))
-        e = ad.Tensor([[5.0], [-2.0], [0.0]])
-        assert_allclose(go.segment_softmax(e, s).data, 1.0)
-
-    def test_gradient(self, rng):
-        support, _ = random_support(5, rng)
-        e = rng.standard_normal((support.num_edges, 1))
-        w = rng.standard_normal((support.num_edges, 1))
-        check_grad(lambda p: ad.sum_all(ad.mul(go.segment_softmax(p["e"], support),
-                                               ad.constant(w))),
-                   {"e": e})
-
-
-class TestEdgePairSum:
-    def test_values(self, rng):
-        support, _ = random_support(5, rng)
-        es = rng.standard_normal((5, 1))
-        ed = rng.standard_normal((5, 1))
-        out = go.edge_pair_sum(ad.Tensor(es), ad.Tensor(ed), support).data
-        assert_allclose(out, es[support.row] + ed[support.indices])
-
-    def test_gradient(self, rng):
-        support, _ = random_support(4, rng)
-        es = rng.standard_normal((4, 1))
-        ed = rng.standard_normal((4, 1))
-        w = rng.standard_normal((support.num_edges, 1))
-        check_grad(lambda p: ad.sum_all(
-            ad.mul(go.edge_pair_sum(p["es"], p["ed"], support), ad.constant(w))),
-            {"es": es, "ed": ed})
-
-
-class TestAttentionAggregate:
-    def test_matches_sparse_matmul(self, rng):
-        support, _ = random_support(6, rng)
-        alpha = rng.random((support.num_edges, 1))
-        z = rng.standard_normal((6, 4))
-        out = go.attention_aggregate(ad.Tensor(alpha), ad.Tensor(z), support).data
-        dense = np.zeros((6, 6))
-        dense[support.row, support.indices] = alpha[:, 0]
-        assert_allclose(out, dense @ z, atol=1e-13)
-
-    def test_gradient(self, rng):
-        support, _ = random_support(4, rng)
-        alpha = rng.random((support.num_edges, 1)) + 0.1
-        z = rng.standard_normal((4, 3))
-        w = rng.standard_normal((4, 3))
-        check_grad(lambda p: ad.sum_all(
-            ad.mul(go.attention_aggregate(p["alpha"], p["z"], support),
-                   ad.constant(w))),
-            {"alpha": alpha, "z": z})
-
-    def test_memory_below_one_edge_buffer(self, rng):
-        # about 17 edges per node: an (E, d) array is 8.3 MiB, and forward
-        # plus backward must never hold one
-        n, d = 2000, 32
-        adj = sp.random(n, n, density=0.008, random_state=1, format="csr")
-        support = go.GraphSupport.from_sparse(adj)
-        edge_buffer = support.num_edges * d * 8
-        assert edge_buffer >= 8 * 2 ** 20
-        alpha = ad.Tensor(rng.random((support.num_edges, 1)),
-                          requires_grad=True)
-        z = ad.Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        w = ad.constant(rng.standard_normal((n, d)))
-        ad.reset_tape()
-        tracemalloc.start()
-        try:
-            ad.backward(ad.sum_all(ad.mul(
-                go.attention_aggregate(alpha, z, support), w)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert alpha.grad is not None and z.grad is not None
-        assert peak < edge_buffer
-
-
 class TestGatLayer:
     def test_matches_dense_oracle(self, rng):
         n, d = 8, 5
@@ -188,16 +104,66 @@ class TestGatLayer:
 
     def test_full_gradient(self, rng):
         n, d = 5, 3
-        support, _ = random_support(n, rng)
-        z = rng.standard_normal((n, d))
-        params = {
-            "z": z,
-            "w": rng.standard_normal((d, d)) * 0.4,
-            "a_src": rng.standard_normal((d, 1)) * 0.4,
-            "a_dst": rng.standard_normal((d, 1)) * 0.4,
-        }
-        target = rng.standard_normal((n, d))
-        check_grad(lambda p: ad.sum_all(ad.mul(
-            go.gat_layer(p["z"], p["w"], p["a_src"], p["a_dst"], support),
-            ad.constant(target))),
-            params, tol=5e-6)
+        random, _ = random_support(n, rng)
+        # node 4 attends only to itself: a one-edge segment
+        lone = go.GraphSupport.from_sparse(sp.csr_matrix(
+            (np.ones(6), ([0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2])),
+            shape=(n, n)))
+        for support in (random, lone):
+            z = rng.standard_normal((n, d))
+            params = {
+                "z": z,
+                "w": rng.standard_normal((d, d)) * 0.4,
+                "a_src": rng.standard_normal((d, 1)) * 0.4,
+                "a_dst": rng.standard_normal((d, 1)) * 0.4,
+            }
+            zp = z @ params["w"]
+            raw = ((zp @ params["a_src"])[support.row]
+                   + (zp @ params["a_dst"])[support.indices])
+            # both branches of the leaky logits, each clear of the kink
+            assert (raw > 1e-3).any() and (raw < -1e-3).any()
+            assert np.abs(raw).min() > 1e-4
+            target = rng.standard_normal((n, d))
+            check_grad(lambda p: ad.sum_all(ad.mul(
+                go.gat_layer(p["z"], p["w"], p["a_src"], p["a_dst"], support),
+                ad.constant(target))),
+                params, tol=5e-6)
+
+    def test_memory_below_one_edge_buffer(self, rng):
+        # about 17 edges per node: an (E, d) array is 8.3 MiB, and forward
+        # plus backward must never hold one
+        n, d = 2000, 32
+        adj = sp.random(n, n, density=0.008, random_state=1, format="csr")
+        support = go.GraphSupport.from_sparse(adj)
+        edge_buffer = support.num_edges * d * 8
+        assert edge_buffer >= 8 * 2 ** 20
+        z = ad.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((d, d)) * 0.2, requires_grad=True)
+        a_src = ad.Tensor(rng.standard_normal((d, 1)) * 0.2,
+                          requires_grad=True)
+        a_dst = ad.Tensor(rng.standard_normal((d, 1)) * 0.2,
+                          requires_grad=True)
+        target = ad.constant(rng.standard_normal((n, d)))
+        ad.reset_tape()
+        tracemalloc.start()
+        try:
+            ad.backward(ad.sum_all(ad.mul(
+                go.gat_layer(z, w, a_src, a_dst, support), target)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in (z, w, a_src, a_dst))
+        assert peak < edge_buffer
+
+    def test_shape_mismatch(self, rng):
+        support, _ = random_support(4, rng)
+        z = ad.Tensor(rng.standard_normal((4, 3)))
+        w = ad.Tensor(rng.standard_normal((3, 2)))
+        a = ad.Tensor(rng.standard_normal((2, 1)))
+        with pytest.raises(ValueError, match="5-node support"):
+            go.gat_layer(z, w, a, a,
+                         go.GraphSupport(5, np.arange(6), np.arange(5)))
+        with pytest.raises(ValueError, match="do not fit"):
+            go.gat_layer(z, ad.Tensor(np.zeros((2, 2))), a, a, support)
+        with pytest.raises(ValueError, match="must be"):
+            go.gat_layer(z, w, ad.Tensor(np.zeros((3, 1))), a, support)

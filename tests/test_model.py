@@ -171,6 +171,17 @@ class TestGenerate:
         assert_allclose(h_hat_s.data,
                         h_s.data @ model.params["gat_w"].data, atol=1e-12)
 
+    def test_records_projection_and_attention_ops(self, rng):
+        # the attention layer is one tape record
+        gt = prepare_graph(small_graph(rng))
+        model = small_model()
+        h_f = ad.Tensor(rng.standard_normal((10, 5)), requires_grad=True)
+        h_s = ad.Tensor(rng.standard_normal((10, 5)), requires_grad=True)
+        ad.reset_tape()
+        model.generate(gt, h_f, h_s)
+        kinds = [op.kind for op in ad.active_tape().ops]
+        assert kinds == ["matmul", "gat_layer"]
+
 
 class TestFuse:
     def setup_method(self):

@@ -7,8 +7,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from fgwcl import autodiff as ad
 from fgwcl.graph import induced_subgraph, make_graph
-from fgwcl.sampling import (bfs_sample, default_anchor_count, sample_anchors,
-                            sample_contrast_batch)
+from fgwcl.sampling import (ContrastBatch, bfs_sample, default_anchor_count,
+                            sample_anchors, sample_contrast_batch)
 
 
 def path_graph(n, num_features=3):
@@ -196,6 +196,36 @@ class TestBuildViews:
             assert_allclose(batch.perturbed[i].h_slice.data, h_hat[idx])
             assert_allclose(h_rows.data[(a + i) * 4:(a + i + 1) * 4],
                             h_hat[idx])
+
+    def test_views_built_once_for_all_three_lists(self, rng, monkeypatch):
+        g = random_graph(rng, 30)
+        h = ad.constant(rng.standard_normal((30, 5)))
+        h_hat = ad.constant(rng.standard_normal((30, 5)))
+        batch, _ = sample_contrast_batch(g, h, h_hat, k=4, num_anchors=3,
+                                         num_negatives=2, seed=1)
+        a = batch.anchors.size
+        h_rows, adj = (t.data.reshape(2 * a, 4, -1) for t in batch.views())
+        calls = []
+        views = ContrastBatch.views
+
+        def counted(self):
+            calls.append(1)
+            return views(self)
+
+        monkeypatch.setattr(ContrastBatch, "views", counted)
+        originals, perturbed = batch.originals, batch.perturbed
+        negatives = batch.negatives
+        assert len(calls) == 1
+        assert len(originals) == len(perturbed) == len(negatives) == a
+        for i in range(a):
+            got = [originals[i], perturbed[i]] + negatives[i]
+            want = [i, a + i] + list(batch.partner_views[i, 1:])
+            assert len(got) == len(want) == 4
+            for view, v in zip(got, want):
+                assert np.array_equal(view.indices, batch.index[v % a])
+                assert np.array_equal(view.h_slice.data, h_rows[v])
+                assert np.array_equal(view.a_slice.data, adj[v])
+                assert_allclose(view.mu, np.full(4, 0.25))
 
     def test_perturbed_view_is_differentiable(self, rng):
         g = random_graph(rng, 30)
