@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -116,8 +117,8 @@ def load_graph(edge_file, feature_file, label_file=None) -> Graph:
     """Read a graph from text files.
 
     Edge file: "u v" integer pairs, one per line, 0-based; '#' lines are
-    comments. Feature file: one node per line, comma-separated reals, line
-    index = node id. Label file: one integer per line.
+    comments. Feature file: one node per line, comma-separated finite reals,
+    line index = node id. Label file: one integer per line.
     """
     features = []
     width = None
@@ -131,6 +132,10 @@ def load_graph(edge_file, feature_file, label_file=None) -> Graph:
             except ValueError as exc:
                 raise ValueError(
                     f"{feature_file}:{lineno}: unparsable feature row") from exc
+            bad = [v for v in row if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{feature_file}:{lineno}: non-finite "
+                                 f"feature value {bad[0]}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -223,15 +228,6 @@ def homophily(g: Graph) -> float:
     if not mask.any():
         raise ValueError("homophily undefined: all nodes isolated")
     return float((same[mask] / deg[mask]).mean())
-
-
-def induced_subgraph(adj, indices) -> np.ndarray:
-    """Dense symmetric |S| x |S| adjacency slice A[S; S]."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if np.unique(idx).size != idx.size:
-        raise ValueError("induced_subgraph: duplicate indices")
-    adj = sp.csr_matrix(adj)
-    return np.asarray(adj[np.ix_(idx, idx)].todense(), dtype=np.float64)
 
 
 def pagerank(g: Graph) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor, _lift
@@ -213,49 +212,3 @@ def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
                           iterations=int(iters[b]),
                           residual=float(residual[b]), status=int(status[b]))
             for b in range(P.shape[0])]
-
-
-def wd_exact_small(M: np.ndarray, mu, nu) -> float:
-    """Exact Wasserstein value for small square uniform problems.
-
-    The LP optimum over the coupling polytope with uniform marginals is
-    attained at a permutation vertex, so an assignment solve is exact.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    n, m = M.shape
-    if n != m or n > 10:
-        raise ValueError(f"oracle scope is square problems up to 10, got {M.shape}")
-    mu = np.asarray(mu, dtype=np.float64).ravel()
-    nu = np.asarray(nu, dtype=np.float64).ravel()
-    uniform = np.full(n, 1.0 / n)
-    if not (np.allclose(mu, uniform, atol=1e-12)
-            and np.allclose(nu, uniform, atol=1e-12)):
-        raise ValueError("oracle scope is uniform marginals")
-    rows, cols = linear_sum_assignment(M)
-    return float(M[rows, cols].sum() / n)
-
-
-def _coupling_2x2(t: float) -> np.ndarray:
-    return np.array([[t, 0.5 - t], [0.5 - t, t]])
-
-
-def fgw_brute_small(costs: CostMatrices, cfg: FgwConfig) -> float:
-    """Exact 2x2 FGW with uniform marginals by grid search over the single
-    free coupling parameter t in P(t) = [[t, 1/2-t], [1/2-t, t]]."""
-    M, C1, C2 = _cost_arrays(costs)
-    if M.shape != (2, 2):
-        raise ValueError(f"oracle scope is 2x2 problems, got {M.shape}")
-
-    def objective(t):
-        P = _coupling_2x2(t)
-        lp = tensor_product(C1, C2, P)
-        return float(((cfg.alpha * M + (1.0 - cfg.alpha) * lp) * P).sum())
-
-    grid = np.linspace(0.0, 0.5, 10_000)
-    values = np.array([objective(t) for t in grid])
-    best = int(values.argmin())
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    fine = np.linspace(lo, hi, 2_000)
-    fine_values = np.array([objective(t) for t in fine])
-    return float(min(values.min(), fine_values.min()))

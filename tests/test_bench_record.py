@@ -43,6 +43,26 @@ def test_every_record_names_every_benchmark_metric_with_its_unit(path):
         assert {"cpu_count", "numpy", "blas", "blas_threads"} <= set(
             rec["machine"])
         assert len(rec["tier1"]["slowest"]) == 10
+        if "cold_start" in rec:  # files before BENCH_18.json lack it
+            check_cold_start(rec["cold_start"])
+
+
+def check_cold_start(block):
+    assert block["runs"] >= 1
+    import_s = block["import_s"]
+    assert import_s["unit"] == "s"
+    assert 0 < import_s["q1"] <= import_s["median"] <= import_s["q3"]
+    assert block["maxrss_mb"]["unit"] == "MB"
+    assert block["maxrss_mb"]["median"] > 0
+    modules = block["scipy_modules"]
+    assert modules == sorted(modules)
+    assert all(m.startswith("scipy.") for m in modules)
+
+
+def test_cold_start_block_of_this_checkout():
+    block = _recorder().cold_start(ROOT, runs=1)
+    check_cold_start(block)
+    assert block["runs"] == 1
 
 
 def test_tier1_summary_is_parsed_from_pytest_output():

@@ -177,6 +177,14 @@ class TestDistance:
         plan = np.asarray(out["plan"])
         np.testing.assert_allclose(plan.sum(axis=0), 0.25, atol=1e-10)
 
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, capsys):
+        a = self.write_pair(tmp_path, "a", [], [[0.5]])
+        b = self.write_pair(tmp_path, "b", [(0, 1)], [[0.5], [0.1]])
+        (tmp_path / "b_f.txt").write_text("0.5\nnan\n")
+        rc = cli.main(["distance", *a, *b, "--alpha", "0.5"])
+        assert rc == 1
+        assert "b_f.txt:2: non-finite feature value" in capsys.readouterr().err
+
     def test_feature_dim_mismatch_fails(self, tmp_path, capsys):
         a = self.write_pair(tmp_path, "a", [], [[0.5]])
         b = self.write_pair(tmp_path, "b", [], [[0.5, 0.1]])

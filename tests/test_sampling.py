@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import shortest_path
 
 from fgwcl import autodiff as ad
-from fgwcl.graph import induced_subgraph, make_graph
+from fgwcl.graph import make_graph
 from fgwcl.sampling import (ContrastBatch, bfs_sample, default_anchor_count,
                             sample_anchors, sample_contrast_batch)
+from oracles import induced_subgraph
 
 
 def path_graph(n, num_features=3):

@@ -18,7 +18,11 @@ A record holds, next to its runs:
 - the machine: core count, Python, numpy and BLAS versions, and the BLAS
   threads the runs used;
 - with --tier1, the wall time, outcome and ten slowest tests of a saved
-  `pytest --durations=10` run of the tier-1 suite.
+  `pytest --durations=10` run of the tier-1 suite;
+- `cold_start`, measured on every call: the wall time of `import
+  fgwcl.cli` from the checkout's `src/` in 7 fresh interpreters with
+  BLAS at 1 thread (median and quartiles), the median ru_maxrss after
+  the import, and the sorted `scipy.*` modules the import loaded.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -39,6 +44,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-v2-n10000", "train-full-hetero-n2708", "distance-pairs")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+COLD_START_RUNS = 7
+
+# run in a fresh interpreter: times the CLI's import and reports what it
+# loaded
+_COLD_IMPORT = """
+import json, resource, sys, time
+t0 = time.perf_counter()
+import fgwcl.cli
+import_s = time.perf_counter() - t0
+print(json.dumps({
+    "import_s": import_s,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
 
 # traced metrics whose value does not mean what their name says
 WRONG_TRACED = {
@@ -105,6 +125,22 @@ def parse_tier1(text: str) -> dict:
             "slowest": slowest[:10]}
 
 
+def cold_start(tree: Path, runs: int = COLD_START_RUNS) -> dict:
+    """`import fgwcl.cli` from tree's src/ in `runs` fresh interpreters."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           **{var: "1" for var in BLAS_VARS}}
+    samples = [json.loads(subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT], env=env, capture_output=True,
+        text=True, check=True).stdout) for _ in range(runs)]
+    q1, median, q3 = (float(q) for q in np.percentile(
+        [s["import_s"] for s in samples], [25, 50, 75]))
+    return {"runs": runs,
+            "import_s": {"median": median, "q1": q1, "q3": q3, "unit": "s"},
+            "maxrss_mb": {"median": float(np.median(
+                [s["maxrss_mb"] for s in samples])), "unit": "MB"},
+            "scipy_modules": samples[-1]["scipy"]}
+
+
 def run_one(tree: Path, workload: str, seed: int, trace: int,
             seconds: float) -> tuple[dict, dict]:
     """One bench/run.py process: its settings line, and the run as the
@@ -131,9 +167,10 @@ def run_one(tree: Path, workload: str, seed: int, trace: int,
 
 
 def record(path: Path, label: str, tree: Path, runs: list, info=None,
-           tier1=None) -> None:
-    """Merge runs, the machine of a settings line `info` and a tier-1
-    summary into the record `label` of the file at `path`."""
+           tier1=None, cold=None) -> None:
+    """Merge runs, the machine of a settings line `info`, a tier-1
+    summary and a cold-start block into the record `label` of the file at
+    `path`."""
     doc = json.loads(path.read_text()) if path.exists() else {
         "benchmark": "BENCHMARK.json", "wrong_traced_metrics": WRONG_TRACED,
         "records": []}
@@ -152,6 +189,8 @@ def record(path: Path, label: str, tree: Path, runs: list, info=None,
     rec["runs"].sort(key=lambda r: (r["workload"], r["trace"], r["seed"]))
     if tier1 is not None:
         rec["tier1"] = tier1
+    if cold is not None:
+        rec["cold_start"] = cold
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -177,16 +216,17 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     out = args.out if args.out.is_absolute() else ROOT / args.out
     tier1 = parse_tier1(args.tier1.read_text()) if args.tier1 else None
+    tree = args.tree.resolve()
     runs, info = [], None
     for seed in args.seeds:
         for workload in args.workloads:
             for trace in args.traces:
-                info, run = run_one(args.tree.resolve(), workload, seed,
-                                    trace, args.seconds)
+                info, run = run_one(tree, workload, seed, trace,
+                                    args.seconds)
                 print(json.dumps({k: run[k] for k in (
                     "workload", "seed", "trace", "correct")}), flush=True)
                 runs.append(run)
-    record(out, args.label, args.tree.resolve(), runs, info, tier1)
+    record(out, args.label, tree, runs, info, tier1, cold_start(tree))
     return 0
 
 
