@@ -12,13 +12,23 @@ change between its consecutive iterates drops to eps. BAPG solves a
 relaxation, so that point is only approximately feasible (Li et al.,
 ICLR 2023).
 
-Each half-step shifts logP by its exact max along the rescaled axis (per
-row, or per column) and takes one exp of the shifted values; the plan is
-that exp times marginal / sum, and logP the shifted values plus the log
-of that factor. Row and column sums, and the squared Frobenius change,
-are BLAS matrix-vector products over the whole stack, not numpy
-reductions over short axes. Work stacks, the per-axis shifts, sums and
-scales among them, are allocated once and reused across iterations.
+Any per-row (per-column) shift of logP before the exp gives the same
+plan, so each half-step shifts by a constant computed once per solve and
+folded into its fixed cost term: the row's (column's) smallest fixed
+cost, less a bound on the structure term, 2 |step| max|C1| max|C2|.
+For plans of mass at most 1, whose entries are at most 1, the shifted
+exponent is at most 0, so exp cannot overflow, and no short-axis max
+reduction runs per iteration. When some row (column) of the exp sums
+below SUM_FLOOR or not to a finite value, the half-step redoes the exp
+after a shift by the exact max along that axis, as a half-step always
+did before, so every row (column) keeps an entry far above the
+subnormal range; none of the training, distance or acceptance-test
+stacks measured takes that path. The plan is the exp times marginal /
+sum, and logP the shifted values plus the log of that factor. Row and
+column sums, and the squared Frobenius change, are BLAS matrix-vector
+products over the whole stack, not numpy reductions over short axes.
+Work stacks, the per-axis sums and scales among them, are allocated
+once and reused across iterations.
 Each iteration first tests only the smallest squared change: when its
 root is above eps, every problem is finite and none has converged. The
 stack keeps its size for the whole solve: a problem that stops has its
@@ -75,6 +85,10 @@ STATUS_STATIONARY_INFEASIBLE = 3
 
 # the smallest normal float64; the solver holds no plan entry below it
 TINY = np.finfo(np.float64).tiny
+# a half-step whose exp sums to less than this along some row (column)
+# redoes the exp after a shift by the exact max: a sum above it leaves
+# that row (column) an entry above SUM_FLOOR / m, far from subnormal
+SUM_FLOOR = 1e-280
 
 
 def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
@@ -104,36 +118,54 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     status = np.full(B, STATUS_MAX_ITERS, dtype=np.int64)
     running = np.ones(B, dtype=bool)
     ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
+    least, most = np.minimum.reduce, np.maximum.reduce
 
     def col_term(q):
         """(C2sq q)^T for a (B, 1, m) stack of column sums q."""
         return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
 
+    def exp_sums(out, axis, S, out_rows):
+        """exp(logP) into `out`, and its sums along `axis` into S."""
+        np.exp(logP, out)
+        if axis == 2:
+            np.matmul(out_rows, ones_m, rows_flat)
+        else:
+            np.matmul(ones_n, out, S)
+
     def half_step(X, out, fixed, axis, marginal, S, out_rows=None):
         """One Bregman projection from the plan X into `out` (which may be
         X): logP -= G with G = C1m2 X C2T + fixed, then rescale along `axis`
         (2: rows to mu, 1: columns to nu), which cancels G's omitted term,
-        and flush the entries below TINY. S is the (B, n, 1) or (B, 1, m)
-        work stack of the axis: the shift, then the sums, then the scale.
-        For a row step, out_rows is `out` viewed as (B n, m).
+        and flush the entries below TINY. `fixed` carries the solve's
+        per-axis shift, so logP comes out at most 0; a sum below SUM_FLOOR
+        or not finite redoes the exp after a shift by the exact max. S is
+        the (B, n, 1) or (B, 1, m) work stack of the axis: the sums (on a
+        redo, first the max), then the scale. For a row step, out_rows is `out` viewed as (B n, m).
         Outputs are passed by position: the out= keyword costs ~0.07 us a
         call, and a small solve is mostly per-call cost."""
         np.matmul(C1m2, X, T)
         np.matmul(T, C2T, G)
         np.add(G, fixed, G)
         np.subtract(logP, G, logP)
-        np.maximum.reduce(logP, axis, None, S, True)
-        np.subtract(logP, S, logP)
-        np.exp(logP, out)
-        if axis == 2:
-            np.matmul(out_rows, ones_m, rows_flat)
-        else:
-            np.matmul(ones_n, out, S)
+        exp_sums(out, axis, S, out_rows)
+        # NaN fails the first test, inf the second
+        if not (least(S, None) >= SUM_FLOOR and most(S, None) < math.inf):
+            most(logP, axis, None, S, True)
+            np.subtract(logP, S, logP)
+            exp_sums(out, axis, S, out_rows)
         np.divide(marginal, S, S)
         np.multiply(out, S, out)
         np.log(S, S)
         np.add(logP, S, logP)
         out[out < TINY] = 0.0
+
+    def shifted(fixed, axis):
+        """`fixed` in place less its min along `axis`, plus gw_bound: the
+        half-step's exponent logP - C1m2 X C2T - fixed is then at most
+        logP <= 0 for a plan X of mass at most 1."""
+        np.subtract(fixed, fixed.min(axis, keepdims=True), fixed)
+        np.add(fixed, gw_bound, fixed)
+        return fixed
 
     def stop(done, code, it):
         """Store the running problems in `done` as stopped at iteration
@@ -156,6 +188,11 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         step = 2.0 * (1.0 - alpha) / beta
         C1m2, C2sq = (-2.0 * step) * C1, step * (C2 * C2)
         C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
+        # |C1m2 X C2T| <= 2 |step| max|C1| max|C2| sum(X), per problem
+        gw_bound = (2.0 * abs(step)) * (
+            np.maximum(C1.max(axis=(1, 2)), -C1.min(axis=(1, 2)))
+            * np.maximum(C2.max(axis=(1, 2)), -C2.min(axis=(1, 2))))[
+                :, None, None]
         mu = np.asarray(mu, dtype=np.float64)[:, :, None]
         nu = np.asarray(nu, dtype=np.float64)[:, None, :]
         P = np.array(P0, dtype=np.float64)
@@ -170,13 +207,13 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         # a row step starts from columns summing to nu and a column step
         # from rows summing to mu, which fixes the terms they keep; only
         # the first row step starts from P0, whose columns are not nu
-        row_fixed = aM + col_term(ones_n @ P)
-        col_fixed = aM + (step * (C1 * C1)) @ mu
+        row_fixed = shifted(aM + col_term(ones_n @ P), 2)
+        col_fixed = shifted(aM + (step * (C1 * C1)) @ mu, 1)
         for it in range(1, max_iters + 1):
             half_step(P, Q, row_fixed, 2, mu, rows, Q_rows)
             half_step(Q, Q, col_fixed, 1, nu, cols)
             if it == 1:
-                row_fixed = aM + col_term(nu)
+                row_fixed = shifted(aM + col_term(nu), 2)
             np.subtract(Q, P, T)
             np.multiply(T, T, T)
             np.matmul(T_flat, ones_nm, sq)

@@ -117,26 +117,43 @@ def loss_ot(batch: Optional[ContrastBatch], cfg: FgwConfig,
                                   cfg.tau)
 
 
-def loss_node(h: Tensor, h_hat: Tensor, tau: float) -> Tensor:
+def loss_node(h: Tensor, h_hat: Tensor, tau: float,
+              counts=None) -> Tensor:
     """Symmetric intra- plus cross-view InfoNCE over all nodes (GRACE):
     each view is normalized once, and one fused op computes the loss
-    row block by row block, holding no (S, S) similarity."""
+    row block by row block, holding no (S, S) similarity. Optional
+    per-row counts stand for rows repeated that many times (see
+    ad.info_nce)."""
     return ad.info_nce(ad.l2_normalize_rows(h), ad.l2_normalize_rows(h_hat),
-                       tau)
+                       tau, counts)
+
+
+def distinct_nodes(indices) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct node ids of an index list, ascending, and how often
+    each occurs in it."""
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    if idx.size and idx.min() < 0:
+        raise IndexError(f"negative node index {idx.min()}")
+    counts = np.bincount(idx)
+    nodes = np.flatnonzero(counts)
+    return nodes, counts[nodes]
 
 
 def loss_node_v2(h: Tensor, h_hat: Tensor, union_indices,
                  tau: float) -> Optional[Tensor]:
     """Node loss restricted to the sampled subgraph nodes.
 
-    The index list is used as given (a node sampled by several subgraphs
-    contributes once per occurrence), so the loss runs over exactly
-    len(indices) rows regardless of graph size."""
+    The index list is a multiset: a node sampled by several subgraphs
+    counts once per occurrence, so the loss is that of len(indices) rows.
+    It is computed over the distinct nodes among them, each weighted by
+    its count, so its cost follows the number of distinct nodes, at most
+    len(indices) whatever the graph size."""
     idx = np.asarray(union_indices, dtype=np.int64).ravel()
     if idx.size == 0:
         return None
-    return loss_node(ad.gather_rows(h, idx), ad.gather_rows(h_hat, idx),
-                     tau)
+    nodes, counts = distinct_nodes(idx)
+    return loss_node(ad.gather_rows(h, nodes), ad.gather_rows(h_hat, nodes),
+                     tau, counts)
 
 
 def batch_indices(batch: Optional[ContrastBatch]) -> np.ndarray:
@@ -170,8 +187,10 @@ def loss_fusion(lam: Tensor, h_s: Tensor, h_f: Tensor, alpha: float,
 @dataclass
 class LossBreakdown:
     """Scalar parts plus bookkeeping; skipped parts contribute zero.
-    `solver` holds the solver_stats fields of the transport solves, and
-    `channels` the gate and channel statistics train.run_epoch adds."""
+    `solver` holds the solver_stats fields of the transport solves;
+    `node_rows` the node loss's index count and the distinct rows it ran
+    over, and `channels` the gate and channel statistics, both added by
+    train.run_epoch."""
 
     l_ot: Optional[Tensor]
     l_node: Optional[Tensor]
@@ -181,6 +200,7 @@ class LossBreakdown:
     anchors_excluded: int
     skipped: tuple[str, ...]
     solver: dict
+    node_rows: dict = field(default_factory=dict)
     channels: dict = field(default_factory=dict)
 
 

@@ -6,8 +6,9 @@ node and fusion losses -> backward and two Adam updates (one state for
 encoder+generator weights, one for the shared fusion MLP). One JSON
 metrics line is appended and flushed per epoch, so every prefix of the
 stream is valid line-delimited JSON. Each line carries the losses, the
-solver telemetry, the fusion gate's range and the channels' mean row
-norms, the phase times and the process's peak RSS so far.
+solver telemetry, the node loss's index count and distinct rows, the
+fusion gate's range and the channels' mean row norms, the phase times
+and the process's peak RSS so far.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from . import autodiff as ad
 from .config import TrainConfig, config_hash
 from .graph import Graph
 from .kernels import KernelBackend
-from .losses import (LossBreakdown, batch_indices, loss_fusion, loss_node,
-                     loss_node_v2, loss_ot, solve_batch_plans, total_loss)
+from .losses import (LossBreakdown, batch_indices, distinct_nodes,
+                     loss_fusion, loss_node, loss_node_v2, loss_ot,
+                     solve_batch_plans, total_loss)
 from .model import GraphTensors, Model, prepare_graph, save_checkpoint
 from .optim import AdamState, adam_step, zero_grads
 from .ot import FgwConfig
@@ -136,14 +138,19 @@ def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
 
     t0 = time.perf_counter()
     if cfg.node_loss == "v2":
-        l_node = loss_node_v2(h, h_hat, batch_indices(batch), cfg.tau)
+        idx = batch_indices(batch)
+        l_node = loss_node_v2(h, h_hat, idx, cfg.tau)
+        rows = (idx.size, distinct_nodes(idx)[0].size)
     else:
         l_node = loss_node(h, h_hat, cfg.tau)
+        rows = (gt.graph.n, gt.graph.n)
     l_fusion = loss_fusion(lam, h_s, h_f, cfg.alpha, cfg.beta1, cfg.beta2)
     used = 0 if batch is None else int(batch.anchors.size)
     breakdown = total_loss(l_ot, l_node, l_fusion, anchors_used=used,
                            anchors_excluded=excluded, plans=plans or ())
     times["node"] = time.perf_counter() - t0
+    breakdown.node_rows = {"node_rows": rows[0],
+                           "node_rows_distinct": rows[1]}
     breakdown.channels = _channel_stats(lam, h_f, h_s)
     return breakdown, times
 
@@ -174,6 +181,7 @@ def _record(epoch: int, breakdown: LossBreakdown, times: dict) -> dict:
         "anchors_excluded": breakdown.anchors_excluded,
         "skipped": list(breakdown.skipped),
         **breakdown.solver,
+        **breakdown.node_rows,
         **breakdown.channels,
     }
     for phase in PHASES:

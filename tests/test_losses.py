@@ -420,6 +420,96 @@ class TestFusedNodeLoss:
         assert peak < s * s * 8
 
 
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def counted_and_expanded(z0, zh0, counts, tau):
+    """info_nce on distinct rows with counts, and the same op without
+    counts on the rows repeated that many times, from the same two
+    leaves: the loss values and both leaves' gradients of each."""
+    out = []
+    for counted in (True, False):
+        ad.reset_tape()
+        z = ad.Tensor(z0, requires_grad=True)
+        zh = ad.Tensor(zh0, requires_grad=True)
+        if counted:
+            loss = ad.info_nce(z, zh, tau, counts)
+        else:
+            rows = np.repeat(np.arange(len(counts)), counts)
+            loss = ad.info_nce(ad.gather_rows(z, rows),
+                               ad.gather_rows(zh, rows), tau)
+        ad.backward(loss)
+        out.append((loss.item, z.grad, zh.grad))
+    return out
+
+
+def assert_close_to_largest(got, want):
+    assert_allclose(got, want, rtol=0.0,
+                    atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+class TestInfoNceCounts:
+    def setup_method(self):
+        ad.reset_tape()
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0])
+    @pytest.mark.parametrize("d", [3, 128])
+    def test_matches_expanded_rows(self, d, tau, rng, monkeypatch):
+        # three BLOCK-row blocks of distinct rows, counts 1 to 3 with one
+        # node repeated 6 times in the last block and count-1 rows in
+        # every block
+        s = 2 * BLOCK + 7
+        use_block_rows(monkeypatch, s, d)
+        counts = rng.integers(1, 4, s)
+        counts[::5] = 1
+        counts[2 * BLOCK + 3] = 6
+        z0 = unit_rows(rng.standard_normal((s, d)))
+        zh0 = unit_rows(rng.standard_normal((s, d)))
+        (got, *got_grads), (want, *want_grads) = counted_and_expanded(
+            z0, zh0, counts, tau)
+        assert_allclose(got, want, rtol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_close_to_largest(g, w)
+
+    def test_all_ones_matches_no_counts(self, rng, monkeypatch):
+        s = 2 * BLOCK + 7
+        use_block_rows(monkeypatch, s, 3)
+        z0 = unit_rows(rng.standard_normal((s, 3)))
+        zh0 = unit_rows(rng.standard_normal((s, 3)))
+        (got, *got_grads), (want, *want_grads) = counted_and_expanded(
+            z0, zh0, np.ones(s, dtype=np.int64), 0.7)
+        assert_allclose(got, want, rtol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_close_to_largest(g, w)
+
+    def test_single_row_repeated(self, rng):
+        # one node in five slots: only its self-pairs, w - 1 = 4 per view
+        z0 = unit_rows(rng.standard_normal((1, 4)))
+        zh0 = unit_rows(rng.standard_normal((1, 4)))
+        (got, *got_grads), (want, *want_grads) = counted_and_expanded(
+            z0, zh0, np.array([5]), 1.0)
+        assert_allclose(got, want, rtol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_close_to_largest(g, w)
+
+    def test_matches_finite_differences(self, rng):
+        counts = np.array([1, 3, 1, 2, 5])
+        params = {"h": rng.standard_normal((5, 3)),
+                  "hh": rng.standard_normal((5, 3))}
+
+        def build(leaves):
+            return loss_node(leaves["h"], leaves["hh"], 0.8, counts)
+
+        check_grad(build, params, h=1e-5, tol=1e-6)
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 0.5, 2]])
+    def test_bad_counts_rejected(self, rng, counts):
+        z = ad.constant(unit_rows(rng.standard_normal((3, 4))))
+        with pytest.raises(ValueError, match="counts"):
+            ad.info_nce(z, z, 1.0, np.array(counts))
+
+
 class TestNodeLossV2:
     def setup_method(self):
         ad.reset_tape()
@@ -451,13 +541,24 @@ class TestNodeLossV2:
         assert square_outputs(tape) == []
 
     def test_duplicates_kept_as_multiset(self, rng):
-        # a repeated index keeps its own row, so the loss runs over exactly
-        # the number of sampled slots, independent of overlap
-        h = ad.Tensor(rng.standard_normal((10, 4)), requires_grad=True)
-        hh = ad.Tensor(rng.standard_normal((10, 4)), requires_grad=True)
+        # a repeated index counts once per occurrence: the loss and its
+        # gradients are those of loss_node over the five gathered rows,
+        # while the op runs over the three distinct nodes
+        h0, hh0 = rng.standard_normal((10, 4)), rng.standard_normal((10, 4))
+        union = [3, 5, 3, 7, 5]
+        want, *want_grads = node_loss_and_grads(
+            lambda h, hh, tau: loss_node(ad.gather_rows(h, union),
+                                         ad.gather_rows(hh, union), tau),
+            h0, hh0, 1.0)
+        got, *got_grads = node_loss_and_grads(
+            lambda h, hh, tau: loss_node_v2(h, hh, union, tau), h0, hh0, 1.0)
+        assert_allclose(got, want, rtol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_close_to_largest(g, w)
         tape = ad.reset_tape()
-        loss_node_v2(h, hh, [3, 5, 3, 7, 5], 1.0)
-        assert info_nce_rows(tape) == 5
+        loss_node_v2(ad.Tensor(h0, requires_grad=True),
+                     ad.Tensor(hh0, requires_grad=True), union, 1.0)
+        assert info_nce_rows(tape) == 3
         assert square_outputs(tape) == []
 
     def test_batch_union_collects_view_indices(self, rng):

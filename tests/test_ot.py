@@ -582,6 +582,26 @@ class TestBapgBatch:
             # non-finite and stores its plan as of the end of it
             assert np.isnan(P[~finite]).any(axis=(1, 2)).all()
 
+    def test_underflowing_shift_takes_exact_path(self, rng):
+        # one large structure cost puts the solve's bound on the GW term,
+        # 2 step max|C1| max|C2| = 2 * 10 * 60 * 1 = 1200, far above the
+        # term that the rows of problem 1 away from that entry reach (at
+        # most 2 * 10 * 1 * 1 = 20): their shifted exponents lie below
+        # -745, so exp underflows to 0 over each of those rows, and the
+        # half-step must redo the exp after a shift by the exact row max
+        n, m = 6, 5
+        M, C1, C2, mu, nu = self._stack(rng, 3, n, m)
+        C1[1, 0, 1] = C1[1, 1, 0] = 60.0
+        args = (M, C1, C2, mu, nu, 0.5, 0.1, 60, 1e-9,
+                ot.initial_plan(mu, nu, ot.FgwConfig(alpha=0.5)))
+        P_ref, it_ref, code_ref = reference_bapg_batch(*args)
+        assert np.isfinite(P_ref).all()
+        assert (code_ref != STATUS_NON_FINITE).all()
+        P, it, code, _ = bapg_batch_numpy(*args)
+        assert it.tolist() == it_ref.tolist()
+        assert code.tolist() == code_ref.tolist()
+        assert_allclose(P, P_ref, rtol=0, atol=1e-12)
+
     def test_leaves_inputs_and_outputs_independent(self, rng):
         args = mixed_stack(rng, 5, 4)
         before = [np.copy(a) for a in args]

@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgwcl import autodiff as ad
-from fgwcl.model import load_checkpoint
-from fgwcl.train import (PHASES, build_model, epoch_seed, fgw_config,
-                         run_epoch, train)
+from fgwcl.losses import batch_indices
+from fgwcl.model import load_checkpoint, prepare_graph
+from fgwcl.train import (PHASES, _epoch_views, build_model, epoch_seed,
+                         fgw_config, run_epoch, train)
 from conftest import tiny_config, tiny_graph
 
 
@@ -141,6 +142,34 @@ class TestTrainLoop:
             assert 0.0 <= rec["lam_min"] <= rec["lam_mean"] \
                 <= rec["lam_max"] <= 1.0
             assert rec["h_f_norm_mean"] > 0.0 and rec["h_s_norm_mean"] > 0.0
+
+    @pytest.mark.parametrize("node_loss", ["full", "v2"])
+    def test_node_rows_in_every_record(self, tmp_path, node_loss):
+        # the index count and the distinct rows the node loss ran over:
+        # N and N for the full loss; for v2 the batch's k slots per anchor
+        # and the distinct nodes among them, which the epoch's sampling
+        # alone fixes
+        g = tiny_graph()
+        cfg = tiny_config(node_loss=node_loss)
+        result = train(cfg, g, tmp_path / "run")
+        summary = json.loads(result.summary_path.read_text())
+        records = load_metrics(result.metrics_path)
+        assert len(records) == cfg.epochs
+        assert summary["final"] == records[-1]
+        model = build_model(cfg, g)
+        gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
+        for rec in records:
+            if node_loss == "full":
+                want = (g.n, g.n)
+            else:
+                batch = _epoch_views(model, gt, cfg, rec["epoch"])[5]
+                idx = batch_indices(batch)
+                assert idx.size == rec["anchors_used"] * cfg.k
+                want = (idx.size, np.unique(idx).size)
+            assert (rec["node_rows"], rec["node_rows_distinct"]) == want
+        if node_loss == "v2":
+            assert any(rec["node_rows_distinct"] < rec["node_rows"]
+                       for rec in records)
 
     def test_peak_rss_in_every_record(self, tmp_path):
         cfg = tiny_config(epochs=3)
