@@ -20,15 +20,19 @@ For plans of mass at most 1, whose entries are at most 1, the shifted
 exponent is at most 0, so exp cannot overflow, and no short-axis max
 reduction runs per iteration. When some row (column) of the exp sums
 below SUM_FLOOR or not to a finite value, the half-step redoes the exp
-after a shift by the exact max along that axis, as a half-step always
-did before, so every row (column) keeps an entry far above the
-subnormal range; none of the training, distance or acceptance-test
-stacks measured takes that path. The plan is the exp times marginal /
-sum, and logP the shifted values plus the log of that factor. Row and
-column sums, and the squared Frobenius change, are BLAS matrix-vector
-products over the whole stack, not numpy reductions over short axes.
-Work stacks, the per-axis sums and scales among them, are allocated
-once and reused across iterations.
+after a shift by the exact max along that axis, which leaves every row
+(column) an entry of 1; none of the training, distance or acceptance
+test stacks measured takes that path. The folded constant is rounded
+once and subtracted every iteration, so over very long solves the plans
+drift from those of an exact-max shift at each half-step: by 1.1e-13
+after 200000 iterations of a degenerate 5 x 5 problem, and by less than
+1e-15 on the training and distance stacks measured (20 to 50
+iterations). The plan is
+the exp times marginal / sum, and logP the shifted values plus the log
+of that factor. Row and column sums, and the squared Frobenius change,
+are BLAS matrix-vector products over the whole stack, not numpy
+reductions over short axes. Work stacks, the per-axis sums and scales
+among them, are allocated once and reused across iterations.
 Each iteration first tests only the smallest squared change: when its
 root is above eps, every problem is finite and none has converged. The
 stack keeps its size for the whole solve: a problem that stops has its
