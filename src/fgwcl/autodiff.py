@@ -512,22 +512,14 @@ def nce_block_rows(n: int, d: int) -> int:
 def _exp_block(left: np.ndarray, right_t: np.ndarray, buf: np.ndarray,
                diagonal=None) -> np.ndarray:
     """exp(left right_t) for (b, d) left and (d, m) right_t, as a (b, m)
-    array over the start of the flat buf; a `diagonal` (a scalar or b
-    values) overwrites its local diagonal (k, k), k < b."""
+    array over the start of the flat buf; a `diagonal` of b values
+    overwrites its local diagonal (k, k), k < b."""
     b, m = left.shape[0], right_t.shape[1]
     e = np.matmul(left, right_t, out=buf[:b * m].reshape(b, m))
     np.exp(e, out=e)
     if diagonal is not None:
         np.fill_diagonal(e, diagonal)
     return e
-
-
-def _sums(t: np.ndarray, axis: int, weights) -> np.ndarray:
-    """Sums of t along axis, each entry weighted by `weights` along that
-    axis when given (a GEMV)."""
-    if weights is None:
-        return t.sum(axis=axis)
-    return t @ weights if axis == 1 else weights @ t
 
 
 def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
@@ -539,14 +531,14 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     -1/(2S) sum_i [2 z_i.z_hat_i / tau - log r_i - log c_i], where
     r = rowsum(x) + rowsum(u) and c = colsum(x) + rowsum(v).
 
-    Optional per-row counts w >= 1 give the loss of the views with row i
-    repeated w_i times, without the repeats: S becomes sum(w), every sum
-    over j weights pair (i, j) by w_j, the self-pair u_ii (v_ii) enters
-    with weight w_i - 1, and row i's term with weight w_i. Backward
-    scales the GEMMs' right operands by w, so pair (i, j) carries
-    w_i w_j, and sets the intra tiles' diagonal to u_ii (1 - 1/w_i), so
-    the self-pair carries w_i (w_i - 1); a row with count 1 keeps an
-    exact 0 there. Without counts nothing is weighted or allocated for it.
+    Per-row counts w >= 1 give the loss of the views with row i repeated
+    w_i times, without the repeats; counts=None means every row once.
+    S becomes sum(w), every sum over j weights pair (i, j) by w_j (a
+    GEMV), the self-pair u_ii (v_ii) enters with weight w_i - 1, and row
+    i's term with weight w_i. Backward scales the GEMMs' right operands
+    by w, so pair (i, j) carries w_i w_j, and sets the intra tiles'
+    diagonal to u_ii (1 - 1/w_i), so the self-pair carries w_i (w_i - 1);
+    a row with count 1 keeps an exact 0 there.
 
     Both passes walk row blocks I = [i0, i0 + b) of nce_block_rows(S, d)
     rows and recompute each block instead of storing it. x is computed in
@@ -572,43 +564,39 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     step = nce_block_rows(n, d)
     blocks = [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
-    w, total = None, n
-    diag_a = diag_b = 0.0
-    if counts is not None:
+    if counts is None:
+        w = np.ones(n)
+    else:
         w = np.asarray(counts, dtype=np.float64).ravel()
-        if w.shape != (n,) or not (w >= 1.0).all():
-            raise ValueError(f"info_nce: need {n} counts >= 1, got "
+        if w.shape != (n,) or not (np.isfinite(w) & (w >= 1.0)).all():
+            raise ValueError(f"info_nce: need {n} finite counts >= 1, got "
                              f"{np.shape(counts)}")
-        total = w.sum()
+    total = w.sum()
 
     r, c = np.zeros(n), np.zeros(n)
     buf = np.empty(step * n)
     with np.errstate(over="ignore"):
-        if w is not None:
-            # u_ii (1 - 1/w_i) and v_ii (1 - 1/w_i), exactly 0 at w_i = 1
-            diag_a, diag_b = (np.exp((s * v).sum(axis=1), where=w > 1.0,
-                                     out=np.zeros(n)) * (1.0 - 1.0 / w)
-                              for s, v in ((sa, za), (sb, zb)))
+        # u_ii (1 - 1/w_i) and v_ii (1 - 1/w_i), exactly 0 at w_i = 1
+        diag_a, diag_b = (np.exp((s * v).sum(axis=1), where=w > 1.0,
+                                 out=np.zeros(n)) * (1.0 - 1.0 / w)
+                          for s, v in ((sa, za), (sb, zb)))
         for i0, i1 in blocks:
             rows = slice(i0, i1)
-            w_rows = None if w is None else w[rows]
             x = _exp_block(za[rows], sbt, buf)
-            r[rows] += _sums(x, 1, w)
-            c += _sums(x, 0, w_rows)
+            r[rows] += x @ w
+            c += w[rows] @ x
             for z_own, s_own, diag, sums in ((za, sa, diag_a, r),
                                              (zb, sb, diag_b, c)):
-                t = _exp_block(z_own[rows], s_own[i0:].T, buf,
-                               diag if w is None else diag[rows])
-                sums[rows] += _sums(t, 1, None if w is None else w[i0:])
-                sums[i1:] += _sums(t[:, i1 - i0:], 0, w_rows)
+                t = _exp_block(z_own[rows], s_own[i0:].T, buf, diag[rows])
+                sums[rows] += t @ w[i0:]
+                sums[i1:] += w[rows] @ t[:, i1 - i0:]
     if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ArithmeticError(f"info_nce: non-finite values in ({n}, {n}) "
                               f"similarity")
     log_pos = (sa * zb).sum(axis=1)
     with np.errstate(divide="ignore"):
         terms = 2.0 * log_pos - (np.log(r) + np.log(c))
-        value = (-1.0 / (2 * total)) * (np.sum(terms) if w is None
-                                        else w @ terms)
+        value = (-1.0 / (2 * total)) * (w @ terms)
 
     def back(g):
         gs = g[0, 0]
@@ -616,8 +604,7 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
         dz, dz_hat = (np.multiply(v, -gs / total, order="C")
                       for v in (sb, sa))
         # the GEMMs' right operands, weighted by the counts
-        wa, wb = (sa, sb) if w is None else (w[:, None] * sa,
-                                            w[:, None] * sb)
+        wa, wb = w[:, None] * sa, w[:, None] * sb
         blk, tmp = np.empty(step * n), np.empty(step * n)
         for i0, i1 in blocks:
             rows = slice(i0, i1)
@@ -628,15 +615,13 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
             for z_own, s_own, w_own, diag, wts, grad in (
                     (za, sa, wa, diag_a, a, dz),
                     (zb, sb, wb, diag_b, b, dz_hat)):
-                t = _exp_block(z_own[rows], s_own[i0:].T, blk,
-                               diag if w is None else diag[rows])
+                t = _exp_block(z_own[rows], s_own[i0:].T, blk, diag[rows])
                 t *= np.add(wts[rows, None], wts[i0:],
                             out=tmp[:t.size].reshape(t.shape))
                 grad[rows] += t @ w_own[i0:]
                 grad[i1:] += t[:, i1 - i0:].T @ w_own[rows]
-        if w is not None:
-            dz *= w[:, None]
-            dz_hat *= w[:, None]
+        dz *= w[:, None]
+        dz_hat *= w[:, None]
         return dz, dz_hat
 
     return make_op("info_nce", (z, z_hat), np.array([[value]]), back)

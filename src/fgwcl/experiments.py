@@ -36,6 +36,8 @@ def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
         raise ValueError("alpha grid values must lie in [0, 1]")
     if g.labels is None:
         raise ValueError("the sweep needs labels to probe accuracy")
+    if seeds < 1:
+        raise ValueError("need at least one seed per alpha")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)

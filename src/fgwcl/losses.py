@@ -121,9 +121,9 @@ def loss_node(h: Tensor, h_hat: Tensor, tau: float,
               counts=None) -> Tensor:
     """Symmetric intra- plus cross-view InfoNCE over all nodes (GRACE):
     each view is normalized once, and one fused op computes the loss
-    row block by row block, holding no (S, S) similarity. Optional
-    per-row counts stand for rows repeated that many times (see
-    ad.info_nce)."""
+    row block by row block, holding no (S, S) similarity. Per-row
+    counts stand for rows repeated that many times, and counts=None for
+    every row once (see ad.info_nce)."""
     return ad.info_nce(ad.l2_normalize_rows(h), ad.l2_normalize_rows(h_hat),
                        tau, counts)
 

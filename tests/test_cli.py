@@ -126,6 +126,14 @@ class TestSweep:
                       + graph_args(graph_files))
         assert rc == 1
 
+    def test_no_seeds_fails(self, tmp_path, graph_files, config_file,
+                            capsys):
+        rc = cli.main(["sweep-alpha", "--config", config_file, "--grid",
+                       "0.5", "--sweep-seeds", "0", "--out", str(tmp_path)]
+                      + graph_args(graph_files))
+        assert rc == 1
+        assert "error: need at least one seed" in capsys.readouterr().err
+
 
 class TestBench:
     def test_rows_printed(self, tmp_path, config_file, capsys):

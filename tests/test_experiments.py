@@ -45,6 +45,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             sweep_alpha(tiny_cfg(), tiny_graph(), [1.2], tmp_path)
 
+    def test_no_seeds_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one seed"):
+            sweep_alpha(tiny_cfg(), tiny_graph(), [0.5], tmp_path, seeds=0)
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_needs_labels(self, tmp_path, rng):
         from fgwcl.graph import make_graph
         g = make_graph([(0, 1)], rng.standard_normal((4, 6)))

@@ -44,10 +44,16 @@ def np_node_loss(h, hh, tau):
 def shared_matrix_reference(h, h_hat, tau):
     """The node loss spelled out with taped (S, S) matrices: the cross
     matrix's row sums serve h -> h_hat and its column sums h_hat -> h."""
-    n = h.shape[0]
+    return shared_matrix_views(ad.l2_normalize_rows(h),
+                               ad.l2_normalize_rows(h_hat), tau)
+
+
+def shared_matrix_views(z, z_hat, tau):
+    """shared_matrix_reference on views taken as already normalized, the
+    taped counterpart of ad.info_nce."""
+    n = z.shape[0]
     inv_tau = ad.constant(1.0 / tau)
     eye = ad.constant(np.eye(n))
-    z, z_hat = ad.l2_normalize_rows(h), ad.l2_normalize_rows(h_hat)
     zs, zs_hat = ad.mul(z, inv_tau), ad.mul(z_hat, inv_tau)
     cross = ad.exp(ad.matmul(zs, ad.transpose(z_hat)))
     intra = ad.exp(ad.matmul(zs, ad.transpose(z)))
@@ -425,9 +431,9 @@ def unit_rows(x):
 
 
 def counted_and_expanded(z0, zh0, counts, tau):
-    """info_nce on distinct rows with counts, and the same op without
-    counts on the rows repeated that many times, from the same two
-    leaves: the loss values and both leaves' gradients of each."""
+    """info_nce on distinct rows with counts, and the taped (S, S) chain
+    on the rows repeated that many times, from the same two leaves: the
+    loss values and both leaves' gradients of each."""
     out = []
     for counted in (True, False):
         ad.reset_tape()
@@ -437,8 +443,8 @@ def counted_and_expanded(z0, zh0, counts, tau):
             loss = ad.info_nce(z, zh, tau, counts)
         else:
             rows = np.repeat(np.arange(len(counts)), counts)
-            loss = ad.info_nce(ad.gather_rows(z, rows),
-                               ad.gather_rows(zh, rows), tau)
+            loss = shared_matrix_views(ad.gather_rows(z, rows),
+                                       ad.gather_rows(zh, rows), tau)
         ad.backward(loss)
         out.append((loss.item, z.grad, zh.grad))
     return out
@@ -503,7 +509,8 @@ class TestInfoNceCounts:
 
         check_grad(build, params, h=1e-5, tol=1e-6)
 
-    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 0.5, 2]])
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 0.5, 2],
+                                        [1, np.inf, 2]])
     def test_bad_counts_rejected(self, rng, counts):
         z = ad.constant(unit_rows(rng.standard_normal((3, 4))))
         with pytest.raises(ValueError, match="counts"):
