@@ -78,7 +78,8 @@ def bench_graph_params(n: int, feature_dim: int = 32,
 def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
                  iters: int = 3, warmup: int = 1,
                  feature_dim: int = 32) -> list[dict]:
-    """Mean per-phase epoch times for each graph size.
+    """Mean per-phase epoch times, transport solve time (on its worker
+    thread, beside the node phase) and epoch time for each graph size.
 
     cfg.seed seeds both the generated graphs and training. Warm-up epochs
     (allocator effects) are excluded from the means.
@@ -98,11 +99,9 @@ def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
             raise ArithmeticError(f"benchmark run at n={n} diverged")
         row = {"n": int(n), "num_edges": int(g.num_edges),
                "iters": len(timed)}
-        for phase in PHASES:
+        for phase in (*PHASES, "solve", "epoch"):
             key = f"time_{phase}_ms"
             row[key] = float(np.mean([rec[key] for rec in timed]))
-        row["time_epoch_ms"] = float(np.mean([rec["time_epoch_ms"]
-                                              for rec in timed]))
         rows.append(row)
         log.info("n=%d: ot %.1f ms, epoch %.1f ms", n, row["time_ot_ms"],
                  row["time_epoch_ms"])

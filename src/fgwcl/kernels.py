@@ -32,7 +32,10 @@ the exp times marginal / sum, and logP the shifted values plus the log
 of that factor. Row and column sums, and the squared Frobenius change,
 are BLAS matrix-vector products over the whole stack, not numpy
 reductions over short axes. Work stacks, the per-axis sums and scales
-among them, are allocated once and reused across iterations.
+among them, are allocated once and reused across iterations. After the
+first iteration nothing reads alpha M / beta or C2 o C2 again: the
+row term that iteration fixes is written into the former's buffer and
+the latter is released, so the loop holds two fewer stacks.
 Each iteration first tests only the smallest squared change: when its
 root is above eps, every problem is finite and none has converged. The
 stack keeps its size for the whole solve: a problem that stops has its
@@ -140,17 +143,23 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         """One Bregman projection from the plan X into `out` (which may be
         X): logP -= G with G = C1m2 X C2T + fixed, then rescale along `axis`
         (2: rows to mu, 1: columns to nu), which cancels G's omitted term,
-        and flush the entries below TINY. `fixed` carries the solve's
-        per-axis shift, so logP comes out at most 0; a sum below SUM_FLOOR
-        or not finite redoes the exp after a shift by the exact max. S is
-        the (B, n, 1) or (B, 1, m) work stack of the axis: the sums (on a
-        redo, first the max), then the scale. For a row step, out_rows is `out` viewed as (B n, m).
+        and flush the entries below TINY. At alpha = 1 the step is 0, so
+        C1m2 X C2T is +-0 and G is `fixed`: the two products are skipped
+        (a non-finite C1 or C2 still makes gw_bound, and so `fixed`, NaN).
+        `fixed` carries the solve's per-axis shift, so logP comes out at
+        most 0; a sum below SUM_FLOOR or not finite redoes the exp after a
+        shift by the exact max. S is the (B, n, 1) or (B, 1, m) work stack
+        of the axis: the sums (on a redo, first the max), then the scale.
+        For a row step, out_rows is `out` viewed as (B n, m).
         Outputs are passed by position: the out= keyword costs ~0.07 us a
         call, and a small solve is mostly per-call cost."""
-        np.matmul(C1m2, X, T)
-        np.matmul(T, C2T, G)
-        np.add(G, fixed, G)
-        np.subtract(logP, G, logP)
+        if step:
+            np.matmul(C1m2, X, T)
+            np.matmul(T, C2T, G)
+            np.add(G, fixed, G)
+            np.subtract(logP, G, logP)
+        else:
+            np.subtract(logP, fixed, logP)
         exp_sums(out, axis, S, out_rows)
         # NaN fails the first test, inf the second
         if not (least(S, None) >= SUM_FLOOR and most(S, None) < math.inf):
@@ -217,7 +226,9 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
             half_step(P, Q, row_fixed, 2, mu, rows, Q_rows)
             half_step(Q, Q, col_fixed, 1, nu, cols)
             if it == 1:
-                row_fixed = shifted(aM + col_term(nu), 2)
+                # into aM's buffer: neither aM nor C2sq is read again
+                row_fixed = shifted(np.add(aM, col_term(nu), aM), 2)
+                aM = C2sq = None
             np.subtract(Q, P, T)
             np.multiply(T, T, T)
             np.matmul(T_flat, ones_nm, sq)

@@ -2,12 +2,14 @@
 InfoNCE (full and union-restricted), and the fusion gate regularizer.
 
 The transport term reads the batch's views stacked by view id and its
-pair-row layout, solves every (anchor, partner) problem in one stacked
-kernel call, treats the solved plans as constants and re-expresses the
-distances through taped cost matrices built from those stacks, so
-gradients reach the embeddings without differentiating through the
-solver iterations. The tape holds the same handful of ops however many
-anchors and pairs the batch has.
+pair-row layout and builds the taped costs of every (anchor, partner)
+problem once. It solves all the problems from those costs' values in one
+stacked kernel call, treats the solved plans as constants and evaluates
+the distances on the same taped costs, so gradients reach the embeddings
+without differentiating through the solver iterations. The solve reads
+plain arrays and records nothing, so train.run_epoch runs it on a worker
+thread beside the node and fusion losses. The tape holds the same
+handful of ops however many anchors and pairs the batch has.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .kernels import (STATUS_MAX_ITERS, STATUS_STATIONARY_INFEASIBLE,
                       KernelBackend)
-from .ot import FgwConfig, bapg_fgwd_batch, fgw_batch
+from .ot import FgwConfig, TransportPlans, bapg_fgwd_batch, fgw_batch
 from .sampling import ContrastBatch
 
 
@@ -40,42 +42,50 @@ def _stacked_costs(batch: ContrastBatch,
     return M, ad.gather_rows(C, rows1), ad.gather_rows(C, rows2)
 
 
+def solve_costs(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
+                cfg: FgwConfig,
+                backend: Optional[KernelBackend] = None) -> TransportPlans:
+    """Plans of the k x k problems whose costs M, C1 and C2 are stacked as
+    (B k, k) arrays, as fgw_batch takes them, with uniform marginals, from
+    one stacked kernel call. Reads the arrays and records nothing on the
+    tape, so it can run beside the thread that built them."""
+    k = M.shape[1]
+    M, C1, C2 = (x.reshape(-1, k, k) for x in (M, C1, C2))
+    mu = np.full(M.shape[:2], 1.0 / k)
+    return bapg_fgwd_batch(M, C1, C2, mu, mu, cfg, backend)
+
+
 def solve_batch_plans(batch: ContrastBatch, cfg: FgwConfig,
                       backend: Optional[KernelBackend] = None,
-                      threads: int = 1) -> list:
+                      threads: int = 1) -> TransportPlans:
     """Solved transport plans for every pair the batch loss uses, in the
-    order loss_ot consumes them, from one stacked kernel call. The plans
+    order loss_ot consumes them, from costs built off the tape. The plans
     are constants with respect to the embeddings, so callers can
     re-evaluate the loss at perturbed parameters while keeping the
     couplings fixed. `threads` has no effect."""
-    B, k = batch.partner_views.size, batch.index.shape[1]
     try:
         costs = _stacked_costs(batch.detached(), cfg.tau)
     except ArithmeticError as exc:
         raise ArithmeticError(f"solve_batch_plans: {exc}") from exc
-    M, C1, C2 = (t.data.reshape(B, k, k) for t in costs)
-    mu = np.full((B, k), 1.0 / k)
-    return bapg_fgwd_batch(M, C1, C2, mu, mu, cfg, backend)
+    return solve_costs(*(t.data for t in costs), cfg, backend)
 
 
-def solver_stats(plans: list) -> dict:
+def solver_stats(plans: Optional[TransportPlans]) -> dict:
     """Convergence of one batch of solves, as metrics record fields, with
     the share of plan entries that are exactly 0 (underflowed in exp, or
     flushed below the smallest normal double); every field is None when
     there were no solves."""
-    if not plans:
+    if plans is None or not len(plans):
         return {"ot_iters_mean": None, "ot_iters_max": None,
                 "ot_capped_share": None, "ot_infeasible_share": None,
                 "ot_row_residual_max": None, "ot_plan_zero_share": None}
-    iters = np.array([p.iterations for p in plans])
-    status = np.array([p.status for p in plans])
-    P = np.stack([p.P for p in plans])
-    return {"ot_iters_mean": float(iters.mean()),
-            "ot_iters_max": int(iters.max()),
+    P, status = plans.P, plans.status
+    return {"ot_iters_mean": float(plans.iterations.mean()),
+            "ot_iters_max": int(plans.iterations.max()),
             "ot_capped_share": float((status == STATUS_MAX_ITERS).mean()),
             "ot_infeasible_share":
                 float((status == STATUS_STATIONARY_INFEASIBLE).mean()),
-            "ot_row_residual_max": max(p.residual for p in plans),
+            "ot_row_residual_max": float(plans.residual.max()),
             "ot_plan_zero_share":
                 float(P.size - np.count_nonzero(P)) / P.size}
 
@@ -100,19 +110,24 @@ def ot_loss_from_distances(distances: Tensor, tau: float) -> Tensor:
 
 def loss_ot(batch: Optional[ContrastBatch], cfg: FgwConfig,
             backend: Optional[KernelBackend] = None,
-            threads: int = 1, plans=None) -> Optional[Tensor]:
+            threads: int = 1, plans: Optional[TransportPlans] = None,
+            costs: Optional[tuple[Tensor, Tensor, Tensor]] = None
+            ) -> Optional[Tensor]:
     """Subgraph contrastive loss; None signals the caller to skip it.
-    Pre-solved plans skip the solver and hold the couplings fixed.
-    `threads` has no effect."""
+    Pre-solved plans skip the solver and hold the couplings fixed, and
+    the batch's taped costs, when given, are not built again. Otherwise
+    the plans are solved from the taped costs' values. `threads` has no
+    effect."""
     if batch is None or batch.anchors.size < 2:
         return None
     B = batch.partner_views.size
-    if plans is None:
-        plans = solve_batch_plans(batch, cfg, backend)
-    elif len(plans) != B:
+    if plans is not None and len(plans) != B:
         raise ValueError(f"got {len(plans)} plans for {B} pairs")
-    M, C1, C2 = _stacked_costs(batch, cfg.tau)
-    d = fgw_batch(M, C1, C2, np.stack([plan.P for plan in plans]), cfg.alpha)
+    if costs is None:
+        costs = _stacked_costs(batch, cfg.tau)
+    if plans is None:
+        plans = solve_costs(*(t.data for t in costs), cfg, backend)
+    d = fgw_batch(*costs, plans.P, cfg.alpha)
     return ot_loss_from_distances(ad.reshape(d, batch.partner_views.shape),
                                   cfg.tau)
 
@@ -206,7 +221,8 @@ class LossBreakdown:
 
 def total_loss(l_ot: Optional[Tensor], l_node: Optional[Tensor],
                l_fusion: Optional[Tensor], anchors_used: int = 0,
-               anchors_excluded: int = 0, plans=()) -> LossBreakdown:
+               anchors_excluded: int = 0,
+               plans: Optional[TransportPlans] = None) -> LossBreakdown:
     parts = {"ot": l_ot, "node": l_node, "fusion": l_fusion}
     skipped = tuple(name for name, part in parts.items() if part is None)
     live = [part for part in parts.values() if part is not None]
@@ -214,4 +230,4 @@ def total_loss(l_ot: Optional[Tensor], l_node: Optional[Tensor],
     return LossBreakdown(l_ot=l_ot, l_node=l_node, l_fusion=l_fusion,
                          total=total, anchors_used=anchors_used,
                          anchors_excluded=anchors_excluded, skipped=skipped,
-                         solver=solver_stats(list(plans)))
+                         solver=solver_stats(plans))

@@ -10,16 +10,19 @@ L_ijkl = (C1[i,k] - C2[j,l])^2. alpha=1 recovers the Wasserstein distance
 of M; alpha=0 the Gromov-Wasserstein distance of (C1, C2).
 
 The minimization runs through the BAPG kernels (see kernels.py), on one
-problem or a stack of them; the returned plan is treated as a constant,
+problem or a stack of them; a stack's plans come back as one
+TransportPlans of stacked arrays. The plans are treated as constants,
 and gradients reach the encoder only through the cost matrices in the
 final objective evaluation (envelope-style differentiation). That
-evaluation is one fused tape op for a whole stack, with the closed-form
-gradient of the factorized objective (Peyre, Cuturi & Solomon, 2016).
+evaluation is one fused tape op for a whole stack, fgw_batch, with the
+closed-form gradient of the factorized objective (Peyre, Cuturi &
+Solomon, 2016); a stack's solve computes no objective of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -71,10 +74,34 @@ class TransportPlan:
     P: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
-    objective: float
     iterations: int
     residual: float  # max abs row-marginal violation; columns are exact
     status: int  # a kernels.STATUS_* code other than STATUS_NON_FINITE
+    objective: Optional[float] = None  # set by bapg_fgwd only
+
+
+@dataclass
+class TransportPlans:
+    """The solved plans of B stacked problems: P (B, n, m), the marginals
+    mu (B, n) and nu (B, m), and the per-problem iteration counts, row
+    residuals and status codes, each (B,). len() and int indexing (so
+    iteration too) give one problem's TransportPlan, with no objective."""
+
+    P: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return self.P.shape[0]
+
+    def __getitem__(self, b: int) -> TransportPlan:
+        return TransportPlan(P=self.P[b], mu=self.mu[b], nu=self.nu[b],
+                             iterations=int(self.iterations[b]),
+                             residual=float(self.residual[b]),
+                             status=int(self.status[b]))
 
 
 def _cost_arrays(costs: CostMatrices) -> tuple[np.ndarray, ...]:
@@ -179,21 +206,22 @@ def _check_marginal(name: str, w: np.ndarray, size: int) -> np.ndarray:
 def bapg_fgwd(costs: CostMatrices, mu, nu, cfg: FgwConfig,
               backend: KernelBackend | None = None) -> TransportPlan:
     """Solve for the transport plan and evaluate the FGW objective at it."""
-    M, C1, C2 = _cost_arrays(costs)
-    n, m = M.shape
-    mu = _check_marginal("mu", mu, n)
-    nu = _check_marginal("nu", nu, m)
-    return bapg_fgwd_batch(M[None], C1[None], C2[None], mu[None], nu[None],
-                           cfg, backend)[0]
+    M, C1, C2 = (x[None] for x in _cost_arrays(costs))
+    _, n, m = M.shape
+    mu = _check_marginal("mu", mu, n)[None]
+    nu = _check_marginal("nu", nu, m)[None]
+    plan = bapg_fgwd_batch(M, C1, C2, mu, nu, cfg, backend)[0]
+    plan.objective = float(fgw_value(M, C1, C2, plan.P[None], cfg.alpha)[0])
+    return plan
 
 
 def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
                     mu: np.ndarray, nu: np.ndarray, cfg: FgwConfig,
                     backend: KernelBackend | None = None
-                    ) -> list[TransportPlan]:
-    """bapg_fgwd for a stack of B problems in one kernel call: M is
+                    ) -> TransportPlans:
+    """The BAPG plans of a stack of B problems, from one kernel call: M is
     (B, n, m), C1 (B, n, n), C2 (B, m, m), mu (B, n) and nu (B, m) hold
-    valid marginals. Returns one plan per problem, in stack order."""
+    valid marginals. Computes no objective."""
     if backend is None:
         backend = get_backend()
     P, iters, status, residual = backend.bapg_batch(
@@ -206,9 +234,5 @@ def bapg_fgwd_batch(M: np.ndarray, C1: np.ndarray, C2: np.ndarray,
             f"bapg_fgwd: non-finite plan in problem {b} at iteration "
             f"{iters[b]} (beta={cfg.beta}, alpha={cfg.alpha}); consider a "
             f"larger beta")
-    objective = fgw_value(M, C1, C2, P, cfg.alpha)
-    return [TransportPlan(P=P[b], mu=mu[b], nu=nu[b],
-                          objective=float(objective[b]),
-                          iterations=int(iters[b]),
-                          residual=float(residual[b]), status=int(status[b]))
-            for b in range(P.shape[0])]
+    return TransportPlans(P=P, mu=mu, nu=nu, iterations=iters,
+                          residual=residual, status=status)

@@ -1,14 +1,16 @@
 """Training orchestration: phase-timed epochs, a crash-safe metrics
 stream, divergence handling, and checkpoint output.
 
-Each epoch runs encode -> generate/fuse -> sample -> transport loss ->
-node and fusion losses -> backward and two Adam updates (one state for
-encoder+generator weights, one for the shared fusion MLP). One JSON
-metrics line is appended and flushed per epoch, so every prefix of the
-stream is valid line-delimited JSON. Each line carries the losses, the
-solver telemetry, the node loss's index count and distinct rows, the
-fusion gate's range and the channels' mean row norms, the phase times
-and the process's peak RSS so far.
+Each epoch runs encode -> generate/fuse -> sample -> transport costs ->
+node and fusion losses, beside the transport solve on one worker thread
+-> transport loss -> backward and two Adam updates (one state for
+encoder+generator weights, one for the shared fusion MLP). No thread
+outlives the epoch. One JSON metrics line is appended and flushed per
+epoch, so every prefix of the stream is valid line-delimited JSON. Each
+line carries the losses, the solver telemetry, the node loss's index
+count and distinct rows, the fusion gate's range and the channels' mean
+row norms, the phase times of the calling thread, the worker's solve
+time and the process's peak RSS so far.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import logging
 import resource
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,12 +30,12 @@ from . import autodiff as ad
 from .config import TrainConfig, config_hash
 from .graph import Graph
 from .kernels import KernelBackend
-from .losses import (LossBreakdown, batch_indices, distinct_nodes,
-                     loss_fusion, loss_node, loss_node_v2, loss_ot,
-                     solve_batch_plans, total_loss)
+from .losses import (LossBreakdown, _stacked_costs, batch_indices,
+                     distinct_nodes, loss_fusion, loss_node, loss_node_v2,
+                     loss_ot, solve_batch_plans, solve_costs, total_loss)
 from .model import GraphTensors, Model, prepare_graph, save_checkpoint
 from .optim import AdamState, adam_step, zero_grads
-from .ot import FgwConfig
+from .ot import FgwConfig, TransportPlans
 from .sampling import default_anchor_count, sample_contrast_batch
 
 log = logging.getLogger(__name__)
@@ -110,45 +113,76 @@ def _epoch_views(model: Model, gt: GraphTensors, cfg: TrainConfig,
 
 def epoch_plans(model: Model, gt: GraphTensors, cfg: TrainConfig,
                 fgw: FgwConfig, backend: Optional[KernelBackend] = None,
-                epoch: int = 0, threads: int = 1) -> list:
-    """Transport plans the epoch's contrastive loss would solve.
+                epoch: int = 0, threads: int = 1) -> TransportPlans | list:
+    """Transport plans the epoch's contrastive loss would solve, or []
+    when the epoch samples no batch.
 
     Feeding these back through run_epoch(..., plans=...) re-evaluates the
     loss with the couplings held fixed, which is the differentiated
     function: plans are constants of the objective. `threads` has no
-    effect."""
+    effect; no thread is started."""
     _, _, _, _, _, batch, _, _ = _epoch_views(model, gt, cfg, epoch)
     if batch is None:
         return []
     return solve_batch_plans(batch, fgw, backend)
 
 
+def _timed(f, *args) -> tuple:
+    """f(*args) and the wall time it took."""
+    t0 = time.perf_counter()
+    return f(*args), time.perf_counter() - t0
+
+
 def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
               fgw: FgwConfig, backend: KernelBackend, epoch: int,
               plans=None) -> tuple[LossBreakdown, dict]:
-    """Forward pass and losses for one epoch; no parameter update."""
+    """Forward pass and losses for one epoch; no parameter update.
+
+    The transport plans are constants of the objective: the node and
+    fusion losses need nothing from them, nor they from those losses. So
+    the taped transport costs are built once, and unless `plans` are
+    given, one worker thread solves the plans from their arrays while this
+    thread computes the node and fusion losses. The worker is joined
+    whether or not those raise, and the transport loss is then evaluated
+    on the same taped costs at the solved plans. The "ot" time is the
+    cost build, the wait for the worker and that evaluation; "solve" is
+    the worker's own solve time."""
     h, lam, h_f, h_s, h_hat, batch, excluded, times = _epoch_views(
         model, gt, cfg, epoch)
 
     t0 = time.perf_counter()
-    if plans is None and batch is not None:
-        plans = solve_batch_plans(batch, fgw, backend)
-    l_ot = loss_ot(batch, fgw, backend, plans=plans)
-    times["ot"] = time.perf_counter() - t0
+    costs = solve = None
+    # the pool starts its thread at the first submit and joins it on exit
+    with ThreadPoolExecutor(1) as worker:
+        if batch is not None:
+            try:
+                costs = _stacked_costs(batch, fgw.tau)
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"transport costs: {exc}") from exc
+            if plans is None:
+                solve = worker.submit(_timed, solve_costs,
+                                      *(t.data for t in costs), fgw, backend)
+        cost_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if cfg.node_loss == "v2":
-        idx = batch_indices(batch)
-        l_node = loss_node_v2(h, h_hat, idx, cfg.tau)
-        rows = (idx.size, distinct_nodes(idx)[0].size)
-    else:
-        l_node = loss_node(h, h_hat, cfg.tau)
-        rows = (gt.graph.n, gt.graph.n)
-    l_fusion = loss_fusion(lam, h_s, h_f, cfg.alpha, cfg.beta1, cfg.beta2)
+        t0 = time.perf_counter()
+        if cfg.node_loss == "v2":
+            idx = batch_indices(batch)
+            l_node = loss_node_v2(h, h_hat, idx, cfg.tau)
+            rows = (idx.size, distinct_nodes(idx)[0].size)
+        else:
+            l_node = loss_node(h, h_hat, cfg.tau)
+            rows = (gt.graph.n, gt.graph.n)
+        l_fusion = loss_fusion(lam, h_s, h_f, cfg.alpha, cfg.beta1,
+                               cfg.beta2)
+        times["node"] = time.perf_counter() - t0
+        t0 = time.perf_counter()  # the wait for the worker is "ot" time
+    if solve is not None:
+        plans, times["solve"] = solve.result()
+    l_ot = loss_ot(batch, fgw, plans=plans, costs=costs)
     used = 0 if batch is None else int(batch.anchors.size)
     breakdown = total_loss(l_ot, l_node, l_fusion, anchors_used=used,
-                           anchors_excluded=excluded, plans=plans or ())
-    times["node"] = time.perf_counter() - t0
+                           anchors_excluded=excluded, plans=plans)
+    times["ot"] = cost_s + time.perf_counter() - t0
     breakdown.node_rows = {"node_rows": rows[0],
                            "node_rows_distinct": rows[1]}
     breakdown.channels = _channel_stats(lam, h_f, h_s)
@@ -186,6 +220,7 @@ def _record(epoch: int, breakdown: LossBreakdown, times: dict) -> dict:
     }
     for phase in PHASES:
         rec[f"time_{phase}_ms"] = round(times.get(phase, 0.0) * 1e3, 4)
+    rec["time_solve_ms"] = round(times.get("solve", 0.0) * 1e3, 4)
     rec["time_epoch_ms"] = round(times.get("epoch", 0.0) * 1e3, 4)
     # the process's peak resident set so far; ru_maxrss is in KiB on Linux
     rec["peak_rss_mb"] = resource.getrusage(

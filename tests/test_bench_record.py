@@ -79,3 +79,12 @@ def test_tier1_summary_is_parsed_from_pytest_output():
     assert tier1["slowest"] == [
         {"seconds": 13.55, "test": "tests/test_a.py::test_slow"},
         {"seconds": 0.20, "test": "tests/test_b.py::test_fixture"}]
+
+
+def test_user_sys_seconds_per_epoch_from_saved_round_times():
+    # three rounds of two epochs each: 0.15, 0.3 and 0.2 s per epoch
+    details = {"rounds": 3,
+               "round_user_sys_s": [[0.2, 0.1], [0.5, 0.1], [0.3, 0.1]]}
+    per_epoch = _recorder().user_sys_per_epoch(details, attempted=6)
+    assert per_epoch == pytest.approx(0.2)
+    assert _recorder().user_sys_per_epoch({"rounds": 2}, 2) is None

@@ -65,6 +65,7 @@ class TestBench:
         for row in rows:
             phase_sum = sum(row[f"time_{p}_ms"] for p in PHASES)
             assert all(row[f"time_{p}_ms"] >= 0.0 for p in PHASES)
+            assert row["time_solve_ms"] > 0.0
             # phases account for the epoch wall time
             assert phase_sum <= row["time_epoch_ms"] * 1.10
             assert phase_sum >= row["time_epoch_ms"] * 0.90

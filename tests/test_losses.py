@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -220,7 +221,7 @@ class TestOtLossBatch:
         cfg = FgwConfig(alpha=0.4, beta=5.0, max_iters=20, tol=1e-8)
         plans = solve_batch_plans(batch, cfg)
         with pytest.raises(ValueError, match="plans"):
-            loss_ot(batch, cfg, plans=plans[:-1])
+            loss_ot(batch, cfg, plans=replace(plans, P=plans.P[:-1]))
 
     def test_feature_cost_overflow_names_the_solve(self, rng):
         # h_hat = -h makes every positive pair's H1 H2^T very negative, so

@@ -677,6 +677,48 @@ class TestBapgBatch:
         assert (iters, status) == (7, STATUS_MAX_ITERS)
 
 
+    def test_alpha_one_skips_structure_but_not_its_overflow(self, rng):
+        # the structure step is 0 at alpha = 1, so the kernel skips its
+        # products; a non-finite C1 still ends its problem as non-finite
+        M, C1, C2, mu, nu = self._stack(rng, 3, 4, 5)
+        cfg = ot.FgwConfig(alpha=1.0, beta=1.0, max_iters=40, tol=1e-9)
+        args = (cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
+                ot.initial_plan(mu, nu, cfg))
+        P_ref, it_ref, code_ref = reference_bapg_batch(M, C1, C2, mu, nu,
+                                                       *args)
+        P, it, code, _ = bapg_batch_numpy(M, C1, C2, mu, nu, *args)
+        assert it.tolist() == it_ref.tolist()
+        assert code.tolist() == code_ref.tolist()
+        assert_allclose(P, P_ref, rtol=0, atol=1e-12)
+        C1[1, 0, 1] = np.inf
+        _, _, code, _ = bapg_batch_numpy(M, C1, C2, mu, nu, *args)
+        assert code.tolist() == [code_ref[0], STATUS_NON_FINITE, code_ref[2]]
+
+    def test_stacked_result_has_len_and_int_indexing(self, rng):
+        M, C1, C2, mu, nu = self._stack(rng, 4, 3, 5)
+        cfg = ot.FgwConfig(alpha=0.4, max_iters=30)
+        plans = ot.bapg_fgwd_batch(M, C1, C2, mu, nu, cfg)
+        assert len(plans) == 4
+        assert plans.P.shape == (4, 3, 5)
+        for name in ("iterations", "residual", "status"):
+            assert getattr(plans, name).shape == (4,)
+        # iteration runs through int indexing
+        for b, plan in enumerate(plans):
+            assert isinstance(plan, ot.TransportPlan)
+            assert plan.objective is None
+            assert np.array_equal(plan.P, plans.P[b])
+            assert np.array_equal(plan.nu, nu[b])
+            assert type(plan.iterations) is int
+            assert plan.iterations == plans.iterations[b]
+            assert type(plan.status) is int
+            assert plan.status == plans.status[b]
+            assert plan.residual == plans.residual[b]
+        assert len(list(plans)) == 4
+        assert np.array_equal(plans[-1].P, plans.P[3])
+        with pytest.raises(IndexError):
+            plans[4]
+
+
 class TestObjectiveTape:
     def test_taped_objective_matches_solver_value(self, rng):
         costs = random_costs(rng, 4, 3)

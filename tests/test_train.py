@@ -1,15 +1,21 @@
 import gc
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fgwcl import autodiff as ad
+from fgwcl import train as train_module
+from fgwcl.kernels import STATUS_NON_FINITE, KernelBackend, get_backend
 from fgwcl.losses import batch_indices
 from fgwcl.model import load_checkpoint, prepare_graph
-from fgwcl.train import (PHASES, _epoch_views, build_model, epoch_seed,
-                         fgw_config, run_epoch, train)
+from fgwcl.optim import zero_grads
+from fgwcl.train import (PHASES, _epoch_views, _record, build_model,
+                         epoch_plans, epoch_seed, fgw_config, run_epoch,
+                         train)
 from conftest import tiny_config, tiny_graph
 
 
@@ -206,4 +212,121 @@ class TestHelpers:
         breakdown, times = run_epoch(model, gt, cfg, fgw_config(cfg),
                                      get_backend(), epoch=0)
         assert np.isfinite(breakdown.total.item)
-        assert set(times) == {"encode", "generate", "sample", "ot", "node"}
+        assert set(times) == {"encode", "generate", "sample", "ot", "node",
+                              "solve"}
+
+
+def _params_and_grads(model, breakdown):
+    """The model's gradients after backward from the breakdown's total;
+    leaves the gradients zeroed."""
+    ad.backward(breakdown.total)
+    grads = {k: np.copy(p.grad) for k, p in model.params.items()
+             if p.grad is not None}
+    zero_grads(model.params)
+    return grads
+
+
+def _slow_backend(seconds, done):
+    """The kernel backend, with each stacked solve held `seconds` longer
+    and counted in `done` once it returns."""
+    real = get_backend()
+
+    def bapg_batch(*args):
+        time.sleep(seconds)
+        out = real.bapg_batch(*args)
+        done.append(True)
+        return out
+
+    return KernelBackend(real.bapg, bapg_batch)
+
+
+class TestOverlappedSolve:
+    @pytest.mark.parametrize("node_loss", ["full", "v2"])
+    def test_matches_the_epoch_at_given_plans(self, node_loss):
+        # the worker's plans are those epoch_plans solves, and the loss,
+        # its gradients and every non-time record field come out the same
+        g = tiny_graph()
+        cfg = tiny_config(node_loss=node_loss)
+        fgw = fgw_config(cfg)
+        model = build_model(cfg, g)
+        gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
+        for epoch in range(2):
+            plans = epoch_plans(model, gt, cfg, fgw, None, epoch)
+            given, given_times = run_epoch(model, gt, cfg, fgw, None, epoch,
+                                           plans=plans)
+            given_rec = _record(epoch, given, given_times)
+            given_grads = _params_and_grads(model, given)
+            solved, times = run_epoch(model, gt, cfg, fgw, None, epoch)
+            rec = _record(epoch, solved, times)
+            grads = _params_and_grads(model, solved)
+            assert solved.total.item == given.total.item
+            assert grads.keys() == given_grads.keys()
+            for name, grad in grads.items():
+                assert np.array_equal(grad, given_grads[name]), name
+            assert "solve" not in given_times and times["solve"] > 0.0
+            assert given_rec["time_solve_ms"] == 0.0
+            same = [k for k in rec if not k.startswith("time_")
+                    and k != "peak_rss_mb"]
+            assert {k: rec[k] for k in same} == {k: given_rec[k]
+                                                 for k in same}
+
+    def test_solve_error_reaches_train_as_a_divergence(self, tmp_path):
+        # a non-finite plan in the second epoch's stack, raised on the
+        # worker, stops training there with the solve's own message
+        real = get_backend()
+        calls = []
+
+        def bapg_batch(*args):
+            P, iters, status, residual = real.bapg_batch(*args)
+            calls.append(True)
+            if len(calls) == 2:
+                status[1] = STATUS_NON_FINITE
+            return P, iters, status, residual
+
+        cfg = tiny_config(epochs=3)
+        result = train(cfg, tiny_graph(), tmp_path / "run",
+                       backend=KernelBackend(real.bapg, bapg_batch))
+        summary = json.loads(result.summary_path.read_text())
+        assert result.diverged and len(result.records) == 1
+        assert summary["divergence"]["epoch"] == 1
+        assert summary["divergence"]["error"].startswith(
+            "bapg_fgwd: non-finite plan in problem 1")
+
+    def test_calling_thread_error_still_joins_the_worker(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("fusion failed")
+
+        monkeypatch.setattr(train_module, "loss_fusion", fail)
+        g = tiny_graph()
+        cfg = tiny_config()
+        done = []
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fusion failed"):
+            run_epoch(build_model(cfg, g), prepare_graph(g), cfg,
+                      fgw_config(cfg), _slow_backend(0.2, done), 0)
+        assert done == [True]
+        assert threading.active_count() == before
+
+    def test_train_leaves_no_thread(self, tmp_path):
+        before = threading.active_count()
+        result = train(tiny_config(epochs=2), tiny_graph(), tmp_path / "run")
+        assert [rec["time_solve_ms"] > 0.0 for rec in result.records] == [
+            True, True]
+        assert threading.active_count() == before
+
+    def test_given_plans_start_no_thread(self, monkeypatch):
+        g = tiny_graph()
+        cfg = tiny_config()
+        fgw = fgw_config(cfg)
+        model = build_model(cfg, g)
+        gt = prepare_graph(g)
+        plans = epoch_plans(model, gt, cfg, fgw, None, 0)
+
+        def no_thread(*args, **kw):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        breakdown, times = run_epoch(model, gt, cfg, fgw, None, 0,
+                                     plans=plans)
+        assert np.isfinite(breakdown.total.item)
+        assert "solve" not in times

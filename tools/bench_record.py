@@ -11,6 +11,13 @@ does not exist; a run with the same workload, seed and trace as an
 earlier one of that record replaces it, so a record can be built up
 over several calls (to alternate two checkouts run by run, say).
 
+A training run also keeps `user_sys_s_per_epoch`: the median over its
+rounds of the process's user+sys CPU seconds per epoch, read from the
+`round_user_sys_s` that bench/run.py saves under
+`bench/out/results/<workload>-seed<seed>-trace<trace>.json`. Next to
+`epoch_s` it tells a wall-time gain from a second core apart from a
+gain from less work.
+
 A record holds, next to its runs:
 - the checkout's git revision (`git describe --always --dirty`, or null
   outside a git checkout) and a SHA-256 over the files of its `src/`,
@@ -159,11 +166,28 @@ def run_one(tree: Path, workload: str, seed: int, trace: int,
     for name, fault in WRONG_TRACED.items():
         if name in metrics:
             metrics[name]["wrong"] = fault
-    return info, {"workload": workload, "seed": seed, "trace": trace,
-                  "seconds": seconds, "correct": result["correct"],
-                  "attempted": result["attempted"],
-                  "failed": result["failed"], "problems": info["problems"],
-                  "metrics": metrics}
+    run = {"workload": workload, "seed": seed, "trace": trace,
+           "seconds": seconds, "correct": result["correct"],
+           "attempted": result["attempted"], "failed": result["failed"],
+           "problems": info["problems"], "metrics": metrics}
+    saved = tree / "bench" / "out" / "results" / (
+        f"{workload}-seed{seed}-trace{trace}.json")
+    cpu = user_sys_per_epoch(json.loads(saved.read_text())["details"],
+                             result["attempted"])
+    if cpu is not None:
+        run["user_sys_s_per_epoch"] = {"median": cpu, "unit": "s"}
+    return info, run
+
+
+def user_sys_per_epoch(details: dict, attempted: int):
+    """Median user+sys CPU seconds per epoch over a training run's rounds,
+    from the details of its saved results; None for a run whose details
+    keep no CPU times."""
+    cpu = details.get("round_user_sys_s")
+    if not cpu:
+        return None
+    epochs = attempted / details["rounds"]
+    return float(np.median([(user + sys_s) / epochs for user, sys_s in cpu]))
 
 
 def record(path: Path, label: str, tree: Path, runs: list, info=None,
