@@ -75,7 +75,7 @@ def solver_stats(plans: Optional[TransportPlans]) -> dict:
     the share of plan entries that are exactly 0 (underflowed in exp, or
     flushed below the smallest normal double); every field is None when
     there were no solves."""
-    if plans is None or not len(plans):
+    if not plans:
         return {"ot_iters_mean": None, "ot_iters_max": None,
                 "ot_capped_share": None, "ot_infeasible_share": None,
                 "ot_row_residual_max": None, "ot_plan_zero_share": None}
