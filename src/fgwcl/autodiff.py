@@ -16,13 +16,15 @@ tensors. Tensors refer back to their tape only weakly, so reset_tape()
 frees the previous step's tape and every intermediate on it by reference
 counting alone; run backward before resetting.
 
-Construction and backward are single-threaded; tensors are immutable once
-written.
+Ops are built and differentiated on the calling thread, except that
+info_nce runs half of its row blocks on one worker thread in each pass
+and joins it before returning; tensors are immutable once written.
 """
 
 from __future__ import annotations
 
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -494,19 +496,23 @@ def dense(inputs: Sequence[Tensor], weights: Sequence[Tensor],
 # ---------------------------------------------------------------------------
 # fused losses
 
-# entries per embedding dimension in one row block: a block of an (S, S)
-# similarity holds about NCE_BLOCK_ENTRIES_PER_DIM * d entries, 2^16 at
-# d = 8 and 2^20 at d = 128. Forward plus backward over blocks of 2^16 to
-# 2^21 entries (median of 7 runs, 1 BLAS thread): at d = 8, S = 2708 and
-# 3600, 2^16 was fastest, 39-44% faster than 2^21 (small, cache-resident
-# tiles); at d = 128, 2^19-2^20 was fastest, 35-37% faster than 2^16
-# (tall tiles keep the GEMMs efficient)
+# entries per embedding dimension in one row block, at most
+# NCE_BLOCK_MAX_ENTRIES: a block of an (S, S) similarity holds 2^16
+# entries at d = 8 and 2^18 at d = 128, and each of info_nce's two threads
+# holds one such tile. Forward plus backward on captured workload inputs
+# (median of 9 runs, 1 BLAS thread, two threads per op): at d = 128,
+# S = 2708, tiles of 2^16/2^17/2^18/2^19/2^20 took 190/155/138/141/142 ms
+# (tall tiles keep the GEMMs efficient; 2^18 keeps the two threads' tiles
+# within the single-thread 2^20); at d = 8, S = 3003, 2^15/2^16/2^17/2^18
+# took 63/42/40/42 ms (small, cache-resident tiles)
 NCE_BLOCK_ENTRIES_PER_DIM = 2 ** 13
+NCE_BLOCK_MAX_ENTRIES = 2 ** 18
 
 
 def nce_block_rows(n: int, d: int) -> int:
     """Rows per block of info_nce on two (n, d) views."""
-    return max(1, min(n, NCE_BLOCK_ENTRIES_PER_DIM * d // n))
+    entries = min(NCE_BLOCK_ENTRIES_PER_DIM * d, NCE_BLOCK_MAX_ENTRIES)
+    return max(1, min(n, entries // n))
 
 
 def _exp_block(left: np.ndarray, right_t: np.ndarray, buf: np.ndarray,
@@ -520,6 +526,29 @@ def _exp_block(left: np.ndarray, right_t: np.ndarray, buf: np.ndarray,
     if diagonal is not None:
         np.fill_diagonal(e, diagonal)
     return e
+
+
+def _halves(blocks: list, n: int) -> list:
+    """The row blocks of an (n, n) info_nce split into two contiguous
+    groups of about equal work, or one group when there is one block.
+    Block [i0, i1) exponentiates (i1 - i0)(3n - 2 i0) entries: its cross
+    tile and its two triangle tiles."""
+    work = np.cumsum([(i1 - i0) * (3 * n - 2 * i0) for i0, i1 in blocks])
+    k = 1 + int(np.argmin(np.abs(2 * work - work[-1])))
+    return [blocks[:k], blocks[k:]] if k < len(blocks) else [blocks]
+
+
+def _run_groups(fn: Callable[[int], None], count: int) -> None:
+    """fn(0) on this thread and, with count 2, fn(1) on one worker thread
+    at the same time; the worker is joined before this returns or raises,
+    and its exception is raised here."""
+    if count == 1:
+        fn(0)
+        return
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(fn, 1)
+        fn(0)
+        future.result()
 
 
 def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
@@ -549,6 +578,18 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     the same tile, weighted by a_i + a_j, into dz_I through u z and into
     dz_j through u^T z_I. That is S^2 + 2 sum_I b (S - i0), about 2 S^2,
     exps per pass.
+
+    The blocks split into two contiguous groups of about equal work (block
+    I exponentiates b (3S - 2 i0) entries), and each pass runs the second
+    group on one worker thread while this thread runs the first; numpy's
+    products and exps release the interpreter lock. Each group adds into
+    its own tile buffers and partial sums (r and c forward, dz and dz_hat
+    backward), all allocated here, and this thread adds the worker's
+    partials to its own after joining it. There are always two groups,
+    whatever the core count, and they are added in a fixed order, so
+    repeated calls give bit-identical results. A single block makes one
+    group and starts no thread; the worker is joined before the pass
+    returns or raises, and its exception is raised here.
     """
     z, z_hat = _lift(z), _lift(z_hat)
     if z.shape != z_hat.shape:
@@ -573,23 +614,36 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
                              f"{np.shape(counts)}")
     total = w.sum()
 
-    r, c = np.zeros(n), np.zeros(n)
-    buf = np.empty(step * n)
+    groups = _halves(blocks, n)
+    # one group's partial sums and tile each, this thread's first
+    sums = [(np.zeros(n), np.zeros(n)) for _ in groups]
+    bufs = [np.empty(step * n) for _ in groups]
     with np.errstate(over="ignore"):
         # u_ii (1 - 1/w_i) and v_ii (1 - 1/w_i), exactly 0 at w_i = 1
         diag_a, diag_b = (np.exp((s * v).sum(axis=1), where=w > 1.0,
                                  out=np.zeros(n)) * (1.0 - 1.0 / w)
                           for s, v in ((sa, za), (sb, zb)))
-        for i0, i1 in blocks:
-            rows = slice(i0, i1)
-            x = _exp_block(za[rows], sbt, buf)
-            r[rows] += x @ w
-            c += w[rows] @ x
-            for z_own, s_own, diag, sums in ((za, sa, diag_a, r),
-                                             (zb, sb, diag_b, c)):
-                t = _exp_block(z_own[rows], s_own[i0:].T, buf, diag[rows])
-                sums[rows] += t @ w[i0:]
-                sums[i1:] += w[rows] @ t[:, i1 - i0:]
+
+    def forward(k):
+        (r, c), buf = sums[k], bufs[k]
+        with np.errstate(over="ignore"):  # errstate is per thread
+            for i0, i1 in groups[k]:
+                rows = slice(i0, i1)
+                x = _exp_block(za[rows], sbt, buf)
+                r[rows] += x @ w
+                c += w[rows] @ x
+                for z_own, s_own, diag, part in ((za, sa, diag_a, r),
+                                                 (zb, sb, diag_b, c)):
+                    t = _exp_block(z_own[rows], s_own[i0:].T, buf,
+                                   diag[rows])
+                    part[rows] += t @ w[i0:]
+                    part[i1:] += w[rows] @ t[:, i1 - i0:]
+
+    _run_groups(forward, len(groups))
+    r, c = sums[0]
+    for r_k, c_k in sums[1:]:
+        r += r_k
+        c += c_k
     if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ArithmeticError(f"info_nce: non-finite values in ({n}, {n}) "
                               f"similarity")
@@ -605,21 +659,33 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
                       for v in (sb, sa))
         # the GEMMs' right operands, weighted by the counts
         wa, wb = w[:, None] * sa, w[:, None] * sb
-        blk, tmp = np.empty(step * n), np.empty(step * n)
-        for i0, i1 in blocks:
-            rows = slice(i0, i1)
-            x = _exp_block(za[rows], sbt, blk)
-            x *= np.add(a[rows, None], b, out=tmp[:x.size].reshape(x.shape))
-            dz[rows] += x @ wb
-            dz_hat += x.T @ wa[rows]
-            for z_own, s_own, w_own, diag, wts, grad in (
-                    (za, sa, wa, diag_a, a, dz),
-                    (zb, sb, wb, diag_b, b, dz_hat)):
-                t = _exp_block(z_own[rows], s_own[i0:].T, blk, diag[rows])
-                t *= np.add(wts[rows, None], wts[i0:],
-                            out=tmp[:t.size].reshape(t.shape))
-                grad[rows] += t @ w_own[i0:]
-                grad[i1:] += t[:, i1 - i0:].T @ w_own[rows]
+        grads = [(dz, dz_hat)] + [(np.zeros((n, d)), np.zeros((n, d)))
+                                  for _ in groups[1:]]
+        tiles = [(np.empty(step * n), np.empty(step * n)) for _ in groups]
+
+        def backward_group(k):
+            (gz, gz_hat), (blk, tmp) = grads[k], tiles[k]
+            for i0, i1 in groups[k]:
+                rows = slice(i0, i1)
+                x = _exp_block(za[rows], sbt, blk)
+                x *= np.add(a[rows, None], b,
+                            out=tmp[:x.size].reshape(x.shape))
+                gz[rows] += x @ wb
+                gz_hat += x.T @ wa[rows]
+                for z_own, s_own, w_own, diag, wts, grad in (
+                        (za, sa, wa, diag_a, a, gz),
+                        (zb, sb, wb, diag_b, b, gz_hat)):
+                    t = _exp_block(z_own[rows], s_own[i0:].T, blk,
+                                   diag[rows])
+                    t *= np.add(wts[rows, None], wts[i0:],
+                                out=tmp[:t.size].reshape(t.shape))
+                    grad[rows] += t @ w_own[i0:]
+                    grad[i1:] += t[:, i1 - i0:].T @ w_own[rows]
+
+        _run_groups(backward_group, len(groups))
+        for gz, gz_hat in grads[1:]:
+            dz += gz
+            dz_hat += gz_hat
         dz *= w[:, None]
         dz_hat *= w[:, None]
         return dz, dz_hat

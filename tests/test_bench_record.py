@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +46,8 @@ def test_every_record_names_every_benchmark_metric_with_its_unit(path):
         assert len(rec["tier1"]["slowest"]) == 10
         if "cold_start" in rec:  # files before BENCH_18.json lack it
             check_cold_start(rec["cold_start"])
+        if int(path.stem.split("_")[1]) >= 22:  # earlier files lack it
+            check_calibration(rec["calibration"])
 
 
 def check_cold_start(block):
@@ -63,6 +66,29 @@ def test_cold_start_block_of_this_checkout():
     block = _recorder().cold_start(ROOT, runs=1)
     check_cold_start(block)
     assert block["runs"] == 1
+
+
+def check_calibration(block):
+    units = {"dgemm_gflops": "GFLOP/s", "dgemm_two_threads_gflops":
+             "GFLOP/s", "add_us": "us", "exp_ns": "ns"}
+    assert {name: probe["unit"] for name, probe in block.items()} == units
+    for probe in block.values():
+        assert probe["samples"] and min(probe["samples"]) > 0
+        assert probe["median"] == pytest.approx(
+            float(np.median(probe["samples"])))
+        assert probe["q1"] <= probe["median"] <= probe["q3"]
+
+
+def test_calibration_block_of_this_machine():
+    recorder = _recorder()
+    samples = recorder.calibrate(rounds=1)
+    block = recorder.calibration_block(samples)
+    check_calibration(block)
+    assert all(len(probe["samples"]) == 1 for probe in block.values())
+    # a later call's samples join those of the record's earlier calls
+    merged = recorder.calibration_block(samples, block)
+    check_calibration(merged)
+    assert all(len(probe["samples"]) == 2 for probe in merged.values())
 
 
 def test_tier1_summary_is_parsed_from_pytest_output():

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -356,9 +357,9 @@ class TestFusedNodeLoss:
                                  rng.standard_normal((1100, 8)), 0.5)
 
     def test_module_block_size_wide_matches_reference(self, rng):
-        # 1100 rows at d = 128: a block of 2**13 * 128 // 1100 = 953 rows
-        # and one of 147
-        assert ad.nce_block_rows(1100, 128) == 953
+        # 1100 rows at d = 128: blocks of 2**18 // 1100 = 238 rows, four
+        # full ones and a last one of 148
+        assert ad.nce_block_rows(1100, 128) == 238
         assert_matches_reference(rng.standard_normal((1100, 128)),
                                  rng.standard_normal((1100, 128)), 0.5)
 
@@ -516,6 +517,119 @@ class TestInfoNceCounts:
         z = ad.constant(unit_rows(rng.standard_normal((3, 4))))
         with pytest.raises(ValueError, match="counts"):
             ad.info_nce(z, z, 1.0, np.array(counts))
+
+
+def block_groups(n, d):
+    """Block counts of the two halves of info_nce on (n, d) views at the
+    module's block size."""
+    step = ad.nce_block_rows(n, d)
+    blocks = [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+    return [len(group) for group in ad._halves(blocks, n)]
+
+
+def info_nce_and_grads(z0, zh0, tau, counts=None):
+    ad.reset_tape()
+    z = ad.Tensor(z0, requires_grad=True)
+    zh = ad.Tensor(zh0, requires_grad=True)
+    loss = ad.info_nce(z, zh, tau, counts)
+    ad.backward(loss)
+    return loss.item, z.grad, zh.grad
+
+
+class TestInfoNceThreads:
+    """info_nce runs the second half of its row blocks on one worker
+    thread in each pass."""
+
+    def setup_method(self):
+        ad.reset_tape()
+
+    @pytest.mark.parametrize("d", [8, 128])
+    def test_two_groups_with_counts_match_expanded_rows(self, d, rng):
+        # 1100 distinct rows, the shapes of the module-block-size tests
+        # above: 19 blocks at d = 8 (7 + 12) and 5 at d = 128 (2 + 3);
+        # every tenth row has count 2 or 3
+        s = 1100
+        assert min(block_groups(s, d)) >= 2
+        counts = np.ones(s, dtype=np.int64)
+        counts[::10] = rng.integers(2, 4, counts[::10].size)
+        z0 = unit_rows(rng.standard_normal((s, d)))
+        zh0 = unit_rows(rng.standard_normal((s, d)))
+        (got, *got_grads), (want, *want_grads) = counted_and_expanded(
+            z0, zh0, counts, 0.5)
+        assert_allclose(got, want, rtol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_close_to_largest(g, w)
+
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_repeated_calls_are_bit_identical(self, with_counts, rng):
+        s = 1100
+        assert min(block_groups(s, 8)) >= 2
+        counts = rng.integers(1, 4, s) if with_counts else None
+        z0 = unit_rows(rng.standard_normal((s, 8)))
+        zh0 = unit_rows(rng.standard_normal((s, 8)))
+        first = info_nce_and_grads(z0, zh0, 0.5, counts)
+        second = info_nce_and_grads(z0, zh0, 0.5, counts)
+        assert first[0] == second[0]
+        for a, b in zip(first[1:], second[1:]):
+            assert np.array_equal(a, b)
+
+    def test_each_pass_runs_on_two_threads(self, rng, monkeypatch):
+        s = 3 * BLOCK
+        use_block_rows(monkeypatch, s, 3)
+        callers = []
+        exp_block = ad._exp_block
+
+        def recording(*args):
+            callers.append(threading.get_ident())
+            return exp_block(*args)
+
+        monkeypatch.setattr(ad, "_exp_block", recording)
+        h = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        loss = loss_node(h, hh, 1.0)
+        forward = set(callers)
+        callers.clear()
+        ad.backward(loss)
+        main = threading.get_ident()
+        assert len(forward) == len(set(callers)) == 2
+        assert main in forward and main in callers
+
+    @pytest.mark.parametrize("in_backward", [False, True])
+    def test_worker_exception_reaches_caller(self, in_backward, rng,
+                                             monkeypatch):
+        s = 3 * BLOCK
+        use_block_rows(monkeypatch, s, 3)
+        exp_block = ad._exp_block
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return exp_block(*args)
+
+        threads = threading.active_count()
+        h = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((s, 3)), requires_grad=True)
+        if in_backward:
+            loss = loss_node(h, hh, 1.0)
+        monkeypatch.setattr(ad, "_exp_block", failing_off_main)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            if in_backward:
+                ad.backward(loss)
+            else:
+                loss_node(h, hh, 1.0)
+        assert threading.active_count() == threads
+
+    def test_single_block_starts_no_thread(self, rng, monkeypatch):
+        assert block_groups(9, 4) == [1]
+
+        def no_thread(*args, **kw):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        h = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        hh = ad.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        ad.backward(loss_node(h, hh, 1.0))
+        assert h.grad is not None and hh.grad is not None
 
 
 class TestNodeLossV2:

@@ -29,7 +29,20 @@ A record holds, next to its runs:
 - `cold_start`, measured on every call: the wall time of `import
   fgwcl.cli` from the checkout's `src/` in 7 fresh interpreters with
   BLAS at 1 thread (median and quartiles), the median ru_maxrss after
-  the import, and the sorted `scipy.*` modules the import loaded.
+  the import, and the sorted `scipy.*` modules the import loaded;
+- `calibration`: fixed probes of the machine's speed that no change to
+  the checkout can move, measured in a fresh interpreter with BLAS at 1
+  thread before and after each call's runs, in 7 rounds that take every
+  probe in turn. Each probe keeps its samples from every call of the
+  record and their median and quartiles:
+  - `dgemm_gflops`: GFLOP/s of a (1024, 128) @ (128, 2708) float64
+    product, the hetero node loss's block shape, on one thread;
+  - `dgemm_two_threads_gflops`: the same product on two threads at
+    once, counting both; about twice `dgemm_gflops` when a second core
+    was free;
+  - `add_us`: microseconds per `np.add` call on two (12, 12) arrays,
+    the per-call cost of small numpy operations;
+  - `exp_ns`: nanoseconds per element of `np.exp` on 2^20 doubles.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
@@ -53,6 +66,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-v2-n10000", "train-full-hetero-n2708", "distance-pairs")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COLD_START_RUNS = 7
+CALIBRATION_ROUNDS = 7
+CALIBRATION_UNITS = {"dgemm_gflops": "GFLOP/s",
+                     "dgemm_two_threads_gflops": "GFLOP/s",
+                     "add_us": "us", "exp_ns": "ns"}
 
 # run in a fresh interpreter: times the CLI's import and reports what it
 # loaded
@@ -65,6 +82,63 @@ print(json.dumps({
     "import_s": import_s,
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
+
+# run in a fresh interpreter with BLAS at 1 thread: `rounds` rounds of
+# every probe in turn, printed as {probe: [one sample per round]}
+_CALIBRATE = """
+import json, sys, threading, time
+import numpy as np
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((1024, 128)), rng.standard_normal((128, 2708))
+x, y = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
+v = rng.standard_normal(2 ** 20)
+GFLOP = 2 * 1024 * 128 * 2708 / 1e9
+PRODUCTS, ADDS, EXPS = 3, 2000, 5
+
+def products():
+    for _ in range(PRODUCTS):
+        a @ b
+
+def dgemm_gflops():
+    t0 = time.perf_counter()
+    products()
+    return PRODUCTS * GFLOP / (time.perf_counter() - t0)
+
+def dgemm_two_threads_gflops():
+    start = threading.Barrier(3)
+    def work():
+        start.wait()
+        products()
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    start.wait()
+    t0 = time.perf_counter()
+    for t in threads:
+        t.join()
+    return 2 * PRODUCTS * GFLOP / (time.perf_counter() - t0)
+
+def add_us():
+    t0 = time.perf_counter()
+    for _ in range(ADDS):
+        np.add(x, y)
+    return (time.perf_counter() - t0) / ADDS * 1e6
+
+def exp_ns():
+    out = np.empty_like(v)
+    t0 = time.perf_counter()
+    for _ in range(EXPS):
+        np.exp(v, out=out)
+    return (time.perf_counter() - t0) / (EXPS * v.size) * 1e9
+
+probes = (dgemm_gflops, dgemm_two_threads_gflops, add_us, exp_ns)
+a @ b  # warm up BLAS
+samples = {p.__name__: [] for p in probes}
+for _ in range(int(sys.argv[1])):
+    for p in probes:
+        samples[p.__name__].append(p())
+print(json.dumps(samples))
 """
 
 # traced metrics whose value does not mean what their name says
@@ -132,6 +206,11 @@ def parse_tier1(text: str) -> dict:
             "slowest": slowest[:10]}
 
 
+def quartiles(values, unit: str) -> dict:
+    q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "unit": unit}
+
+
 def cold_start(tree: Path, runs: int = COLD_START_RUNS) -> dict:
     """`import fgwcl.cli` from tree's src/ in `runs` fresh interpreters."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
@@ -139,13 +218,31 @@ def cold_start(tree: Path, runs: int = COLD_START_RUNS) -> dict:
     samples = [json.loads(subprocess.run(
         [sys.executable, "-c", _COLD_IMPORT], env=env, capture_output=True,
         text=True, check=True).stdout) for _ in range(runs)]
-    q1, median, q3 = (float(q) for q in np.percentile(
-        [s["import_s"] for s in samples], [25, 50, 75]))
     return {"runs": runs,
-            "import_s": {"median": median, "q1": q1, "q3": q3, "unit": "s"},
+            "import_s": quartiles([s["import_s"] for s in samples], "s"),
             "maxrss_mb": {"median": float(np.median(
                 [s["maxrss_mb"] for s in samples])), "unit": "MB"},
             "scipy_modules": samples[-1]["scipy"]}
+
+
+def calibrate(rounds: int = CALIBRATION_ROUNDS) -> dict:
+    """{probe: samples} from `rounds` rounds of the calibration probes in a
+    fresh interpreter with BLAS at 1 thread."""
+    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _CALIBRATE, str(rounds)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+
+
+def calibration_block(samples: dict, earlier=None) -> dict:
+    """Each probe's samples, appended to those of an `earlier` block, with
+    their median and quartiles in the probe's unit."""
+    block = {}
+    for name, unit in CALIBRATION_UNITS.items():
+        values = (earlier[name]["samples"] if earlier else []) + [
+            float(v) for v in samples[name]]
+        block[name] = {**quartiles(values, unit), "samples": values}
+    return block
 
 
 def run_one(tree: Path, workload: str, seed: int, trace: int,
@@ -191,10 +288,10 @@ def user_sys_per_epoch(details: dict, attempted: int):
 
 
 def record(path: Path, label: str, tree: Path, runs: list, info=None,
-           tier1=None, cold=None) -> None:
+           tier1=None, cold=None, calibration=None) -> None:
     """Merge runs, the machine of a settings line `info`, a tier-1
-    summary and a cold-start block into the record `label` of the file at
-    `path`."""
+    summary, a cold-start block and calibration samples into the record
+    `label` of the file at `path`."""
     doc = json.loads(path.read_text()) if path.exists() else {
         "benchmark": "BENCHMARK.json", "wrong_traced_metrics": WRONG_TRACED,
         "records": []}
@@ -215,6 +312,9 @@ def record(path: Path, label: str, tree: Path, runs: list, info=None,
         rec["tier1"] = tier1
     if cold is not None:
         rec["cold_start"] = cold
+    if calibration is not None:
+        rec["calibration"] = calibration_block(calibration,
+                                               rec.get("calibration"))
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -242,6 +342,7 @@ def main(argv=None) -> int:
     tier1 = parse_tier1(args.tier1.read_text()) if args.tier1 else None
     tree = args.tree.resolve()
     runs, info = [], None
+    before = calibrate()
     for seed in args.seeds:
         for workload in args.workloads:
             for trace in args.traces:
@@ -250,7 +351,9 @@ def main(argv=None) -> int:
                 print(json.dumps({k: run[k] for k in (
                     "workload", "seed", "trace", "correct")}), flush=True)
                 runs.append(run)
-    record(out, args.label, tree, runs, info, tier1, cold_start(tree))
+    after = calibrate()
+    record(out, args.label, tree, runs, info, tier1, cold_start(tree),
+           {name: before[name] + after[name] for name in before})
     return 0
 
 
