@@ -144,9 +144,11 @@ def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
     given, one worker thread solves the plans from their arrays while this
     thread computes the node and fusion losses. The worker is joined
     whether or not those raise, and the transport loss is then evaluated
-    on the same taped costs at the solved plans. The "ot" time is the
-    cost build, the wait for the worker and that evaluation; "solve" is
-    the worker's own solve time."""
+    on the same taped costs at the solved plans. With `plans` given no
+    solve thread is started; a node loss over two or more row blocks
+    still runs half of them on a worker of its own (ad.info_nce). The
+    "ot" time is the cost build, the wait for the worker and that
+    evaluation; "solve" is the worker's own solve time."""
     h, lam, h_f, h_s, h_hat, batch, excluded, times = _epoch_views(
         model, gt, cfg, epoch)
 
