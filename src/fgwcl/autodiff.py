@@ -17,8 +17,9 @@ frees the previous step's tape and every intermediate on it by reference
 counting alone; run backward before resetting.
 
 Ops are built and differentiated on the calling thread, except that
-info_nce runs half of its row blocks on one worker thread in each pass
-and joins it before returning; tensors are immutable once written.
+info_nce's one tile walk, which serves its forward and backward pass,
+runs half of its row blocks on one worker thread and joins it before
+returning; tensors are immutable once written.
 """
 
 from __future__ import annotations
@@ -538,19 +539,6 @@ def _halves(blocks: list, n: int) -> list:
     return [blocks[:k], blocks[k:]] if k < len(blocks) else [blocks]
 
 
-def _run_groups(fn: Callable[[int], None], count: int) -> None:
-    """fn(0) on this thread and, with count 2, fn(1) on one worker thread
-    at the same time; the worker is joined before this returns or raises,
-    and its exception is raised here."""
-    if count == 1:
-        fn(0)
-        return
-    with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(fn, 1)
-        fn(0)
-        future.result()
-
-
 def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     """Symmetric intra- plus cross-view InfoNCE (GRACE) of two
     row-normalized (S, d) views, as one op that holds no (S, S) matrix.
@@ -569,27 +557,28 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     diagonal to u_ii (1 - 1/w_i), so the self-pair carries w_i (w_i - 1);
     a row with count 1 keeps an exact 0 there.
 
-    Both passes walk row blocks I = [i0, i0 + b) of nce_block_rows(S, d)
-    rows and recompute each block instead of storing it. x is computed in
-    full. u and v are symmetric, so a block computes them only over the
-    columns j >= i0, a triangle tile whose diagonal sits at local (k, k):
-    its row sums go to r_I (c_I), and the column sums of its part right of
-    the diagonal tile to r_j (c_j), j >= i0 + b. The backward pass feeds
-    the same tile, weighted by a_i + a_j, into dz_I through u z and into
-    dz_j through u^T z_I. That is S^2 + 2 sum_I b (S - i0), about 2 S^2,
-    exps per pass.
+    Both passes are one walk over row blocks I = [i0, i0 + b) of
+    nce_block_rows(S, d) rows that recomputes each block instead of
+    storing it. x is computed in full. u and v are symmetric, so a block
+    computes them only over the columns j >= i0, a triangle tile whose
+    diagonal sits at local (k, k): its row sums go to r_I (c_I), and the
+    column sums of its part right of the diagonal tile to r_j (c_j),
+    j >= i0 + b. That is S^2 + 2 sum_I b (S - i0), about 2 S^2, exps per
+    pass. The forward walk sums the tiles against w into r and c; the
+    backward walk weights x by a_i + b_j, u by a_i + a_j and v by
+    b_i + b_j (a = g / (2S r), b = g / (2S c)) and sums them against the
+    count-weighted views, w z / tau and w z_hat / tau, into dz and dz_hat.
 
     The blocks split into two contiguous groups of about equal work (block
-    I exponentiates b (3S - 2 i0) entries), and each pass runs the second
+    I exponentiates b (3S - 2 i0) entries), and the walk runs the second
     group on one worker thread while this thread runs the first; numpy's
     products and exps release the interpreter lock. Each group adds into
-    its own tile buffers and partial sums (r and c forward, dz and dz_hat
-    backward), all allocated here, and this thread adds the worker's
-    partials to its own after joining it. There are always two groups,
-    whatever the core count, and they are added in a fixed order, so
-    repeated calls give bit-identical results. A single block makes one
-    group and starts no thread; the worker is joined before the pass
-    returns or raises, and its exception is raised here.
+    its own tile buffers and partial sums, all allocated here, and this
+    thread adds the worker's partials to its own after joining it. There
+    are always two groups, whatever the core count, and they are added in
+    a fixed order, so repeated calls give bit-identical results. A single
+    block makes one group and starts no thread; the worker is joined
+    before the pass returns or raises, and its exception is raised here.
     """
     z, z_hat = _lift(z), _lift(z_hat)
     if z.shape != z_hat.shape:
@@ -615,35 +604,52 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
     total = w.sum()
 
     groups = _halves(blocks, n)
-    # one group's partial sums and tile each, this thread's first
-    sums = [(np.zeros(n), np.zeros(n)) for _ in groups]
-    bufs = [np.empty(step * n) for _ in groups]
     with np.errstate(over="ignore"):
         # u_ii (1 - 1/w_i) and v_ii (1 - 1/w_i), exactly 0 at w_i = 1
         diag_a, diag_b = (np.exp((s * v).sum(axis=1), where=w > 1.0,
                                  out=np.zeros(n)) * (1.0 - 1.0 / w)
                           for s, v in ((sa, za), (sb, zb)))
+    views, views_t, diags = (za, zb), (sat, sbt), (diag_a, diag_b)
 
-    def forward(k):
-        (r, c), buf = sums[k], bufs[k]
-        with np.errstate(over="ignore"):  # errstate is per thread
-            for i0, i1 in groups[k]:
-                rows = slice(i0, i1)
-                x = _exp_block(za[rows], sbt, buf)
-                r[rows] += x @ w
-                c += w[rows] @ x
-                for z_own, s_own, diag, part in ((za, sa, diag_a, r),
-                                                 (zb, sb, diag_b, c)):
-                    t = _exp_block(z_own[rows], s_own[i0:].T, buf,
-                                   diag[rows])
-                    part[rows] += t @ w[i0:]
-                    part[i1:] += w[rows] @ t[:, i1 - i0:]
+    def walk(right, outs, scales=None):
+        """One pass over every block's tiles: x as (p, q) = (0, 1), u as
+        (0, 0) and v as (1, 1), each times scales[p]_i + scales[q]_j if
+        given. A tile adds tile @ right[q] to outs[p] at its rows and
+        tile^T @ right[p][rows] to outs[q] at its columns (right of its
+        diagonal tile for u and v)."""
+        parts = [outs] + [tuple(map(np.zeros_like, outs)) for _ in groups[1:]]
+        tiles = [(np.empty(step * n),
+                  None if scales is None else np.empty(step * n))
+                 for _ in groups]
 
-    _run_groups(forward, len(groups))
-    r, c = sums[0]
-    for r_k, c_k in sums[1:]:
-        r += r_k
-        c += c_k
+        def run(k):
+            out, (buf, tmp) = parts[k], tiles[k]
+            with np.errstate(over="ignore"):  # errstate is per thread
+                for i0, i1 in groups[k]:
+                    rows = slice(i0, i1)
+                    # tile columns start at lo, its column sums at hi
+                    for p, q, lo, hi in ((0, 1, 0, 0), (0, 0, i0, i1),
+                                         (1, 1, i0, i1)):
+                        t = _exp_block(views[p][rows], views_t[q][:, lo:],
+                                       buf, diags[p][rows] if p == q else None)
+                        if scales is not None:
+                            t *= np.add(scales[p][rows, None], scales[q][lo:],
+                                        out=tmp[:t.size].reshape(t.shape))
+                        out[p][rows] += t @ right[q][lo:]
+                        out[q][hi:] += t[:, hi - lo:].T @ right[p][rows]
+
+        if len(groups) == 1:
+            run(0)
+            return
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(run, 1)
+            run(0)
+            future.result()
+        for acc, part in zip(outs, parts[1]):
+            acc += part
+
+    r, c = np.zeros(n), np.zeros(n)
+    walk((w, w), (r, c))
     if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ArithmeticError(f"info_nce: non-finite values in ({n}, {n}) "
                               f"similarity")
@@ -658,34 +664,7 @@ def info_nce(z: Tensor, z_hat: Tensor, tau: float, counts=None) -> Tensor:
         dz, dz_hat = (np.multiply(v, -gs / total, order="C")
                       for v in (sb, sa))
         # the GEMMs' right operands, weighted by the counts
-        wa, wb = w[:, None] * sa, w[:, None] * sb
-        grads = [(dz, dz_hat)] + [(np.zeros((n, d)), np.zeros((n, d)))
-                                  for _ in groups[1:]]
-        tiles = [(np.empty(step * n), np.empty(step * n)) for _ in groups]
-
-        def backward_group(k):
-            (gz, gz_hat), (blk, tmp) = grads[k], tiles[k]
-            for i0, i1 in groups[k]:
-                rows = slice(i0, i1)
-                x = _exp_block(za[rows], sbt, blk)
-                x *= np.add(a[rows, None], b,
-                            out=tmp[:x.size].reshape(x.shape))
-                gz[rows] += x @ wb
-                gz_hat += x.T @ wa[rows]
-                for z_own, s_own, w_own, diag, wts, grad in (
-                        (za, sa, wa, diag_a, a, gz),
-                        (zb, sb, wb, diag_b, b, gz_hat)):
-                    t = _exp_block(z_own[rows], s_own[i0:].T, blk,
-                                   diag[rows])
-                    t *= np.add(wts[rows, None], wts[i0:],
-                                out=tmp[:t.size].reshape(t.shape))
-                    grad[rows] += t @ w_own[i0:]
-                    grad[i1:] += t[:, i1 - i0:].T @ w_own[rows]
-
-        _run_groups(backward_group, len(groups))
-        for gz, gz_hat in grads[1:]:
-            dz += gz
-            dz_hat += gz_hat
+        walk((w[:, None] * sa, w[:, None] * sb), (dz, dz_hat), (a, b))
         dz *= w[:, None]
         dz_hat *= w[:, None]
         return dz, dz_hat

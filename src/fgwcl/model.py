@@ -35,6 +35,9 @@ from .graph_ops import GraphSupport, gat_layer, spmm
 
 PRELU_INIT = 0.25
 _CHECKPOINT_FORMAT = "fgwcl-checkpoint"
+# the Model arguments a checkpoint header carries
+_CHECKPOINT_FIELDS = ("num_features", "hidden_dim", "out_dim", "dropout",
+                      "fusion_dropout", "seed")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -235,12 +238,7 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None
     header = {
         "format": _CHECKPOINT_FORMAT,
         "version": 1,
-        "num_features": model.num_features,
-        "hidden_dim": model.hidden_dim,
-        "out_dim": model.out_dim,
-        "dropout": model.dropout,
-        "fusion_dropout": model.fusion_dropout,
-        "seed": model.seed,
+        **{k: getattr(model, k) for k in _CHECKPOINT_FIELDS},
         "params": [[n, list(model.params[n].shape)] for n in names],
     }
     if extra:
@@ -262,8 +260,20 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError("checkpoint truncated before header length")
         (hlen,) = struct.unpack("<Q", raw)
         header = json.loads(fh.read(hlen).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header is not a JSON object")
         if header.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError("not a model checkpoint file")
+        missing = [k for k in _CHECKPOINT_FIELDS + ("params",)
+                   if k not in header]
+        if missing:
+            raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
+        if not isinstance(header["params"], list) or not all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                and isinstance(p[1], list)
+                and all(type(k) is int and k >= 0 for k in p[1])
+                for p in header["params"]):
+            raise ValueError("checkpoint params are not [name, shape] pairs")
         arrays = {}
         for name, shape in header["params"]:
             count = int(np.prod(shape, dtype=np.int64))
@@ -276,12 +286,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def restore_model(path) -> Model:
     header, arrays = load_checkpoint(path)
-    model = Model(num_features=header["num_features"],
-                  hidden_dim=header["hidden_dim"],
-                  out_dim=header["out_dim"],
-                  dropout=header["dropout"],
-                  fusion_dropout=header["fusion_dropout"],
-                  seed=header["seed"])
+    model = Model(**{k: header[k] for k in _CHECKPOINT_FIELDS})
     for name, tensor in model.params.items():
         if name not in arrays:
             raise ValueError(f"checkpoint missing parameter {name}")

@@ -48,6 +48,8 @@ def test_every_record_names_every_benchmark_metric_with_its_unit(path):
             check_cold_start(rec["cold_start"])
         if int(path.stem.split("_")[1]) >= 22:  # earlier files lack it
             check_calibration(rec["calibration"])
+        if int(path.stem.split("_")[1]) >= 23:  # earlier files lack it
+            assert type(rec["src_lines"]) is int and rec["src_lines"] > 0
 
 
 def check_cold_start(block):
@@ -114,3 +116,45 @@ def test_user_sys_seconds_per_epoch_from_saved_round_times():
     per_epoch = _recorder().user_sys_per_epoch(details, attempted=6)
     assert per_epoch == pytest.approx(0.2)
     assert _recorder().user_sys_per_epoch({"rounds": 2}, 2) is None
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\n")
+    assert _recorder().src_lines(tmp_path) == 3
+
+
+def test_trajectory_of_the_checked_in_files():
+    recorder = _recorder()
+    paths = recorder.bench_files()
+    assert [p.name for p in paths] == [p.name for p in BENCH_FILES]
+    rows = recorder.change_trajectory(paths)
+    epochs = rows[("train-v2-n10000", "epoch_s")]
+    assert [stem for stem, _, _ in epochs] == [p.stem for p in paths]
+    calibrated = [p.stem for p in paths
+                  if "calibration" in recorder.record_of(p, "change")]
+    assert [stem for stem, _, c in epochs if c is not None] == calibrated
+    # the first calibrated record sets the speed the others are scaled to
+    first = next(row for row in epochs if row[2] is not None)
+    assert first[1] == first[2]
+    # MB and fractions are never scaled
+    for (_, name), by_file in rows.items():
+        if name in ("peak_rss_mb", "probe_acc"):
+            assert all(c is None for _, _, c in by_file)
+    pairs = {(a, b): metrics
+             for a, b, metrics, _ in recorder.same_src_pairs(paths)}
+    assert ("BENCH_18", "BENCH_19") in pairs
+    assert ("BENCH_19", "BENCH_20") not in pairs  # src/ differs
+    change, parent = pairs[("BENCH_18", "BENCH_19")]["train-v2-n10000"][
+        "epoch_s"]
+    assert change > 0 and parent > 0
+
+
+def test_trajectory_mode_prints_the_same_src_pairs(capsys):
+    assert _recorder().main(["--trajectory"]) == 0
+    out = capsys.readouterr().out
+    assert "train-v2-n10000 epoch_s [s]" in out
+    assert "BENCH_18 change -> BENCH_19 parent" in out

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestEval:
         rc = cli.main(["eval", "--out", str(tmp_path), "--checkpoint",
                        str(stub)] + graph_args(graph_files))
         assert rc == 1
+
+    def test_malformed_header_fails_with_error(self, trained, tmp_path,
+                                               graph_files, capsys):
+        blob = (trained / "checkpoint.bin").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8:8 + hlen])
+        del header["num_features"]
+        hb = json.dumps(header).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(struct.pack("<Q", len(hb)) + hb + blob[8 + hlen:])
+        rc = cli.main(["eval", "--out", str(tmp_path), "--checkpoint",
+                       str(bad)] + graph_args(graph_files))
+        assert rc == 1
+        assert "error: checkpoint header lacks num_features" in (
+            capsys.readouterr().err)
 
 
 class TestSweep:

@@ -632,6 +632,40 @@ class TestInfoNceThreads:
         assert h.grad is not None and hh.grad is not None
 
 
+class TestInfoNceExpBudget:
+    def setup_method(self):
+        ad.reset_tape()
+
+    def test_each_pass_keeps_the_exp_budget(self, rng, monkeypatch):
+        # the docstring's budget: per pass, one cross and two triangle
+        # tiles per block, S^2 + sum_I 2 b (S - i0) entries in all
+        s, d = 1100, 8
+        assert min(block_groups(s, d)) >= 2
+        step = ad.nce_block_rows(s, d)
+        blocks = [(i0, min(i0 + step, s)) for i0 in range(0, s, step)]
+        budget = s * s + sum(2 * (i1 - i0) * (s - i0) for i0, i1 in blocks)
+        sizes = []
+        exp_block = ad._exp_block
+
+        def counting(*args):
+            e = exp_block(*args)
+            sizes.append(e.size)
+            return e
+
+        monkeypatch.setattr(ad, "_exp_block", counting)
+        z = ad.Tensor(unit_rows(rng.standard_normal((s, d))),
+                      requires_grad=True)
+        zh = ad.Tensor(unit_rows(rng.standard_normal((s, d))),
+                       requires_grad=True)
+        loss = ad.info_nce(z, zh, 0.5, rng.integers(1, 4, s))
+        forward = list(sizes)
+        sizes.clear()
+        ad.backward(loss)
+        for calls in (forward, sizes):
+            assert len(calls) == 3 * len(blocks)
+            assert sum(calls) == budget
+
+
 class TestNodeLossV2:
     def setup_method(self):
         ad.reset_tape()

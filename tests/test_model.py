@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -362,11 +365,30 @@ class TestCheckpoint:
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "weights.bin"
-        import json
-        import struct
         hb = json.dumps({"format": "other"}).encode()
         path.write_bytes(struct.pack("<Q", len(hb)) + hb)
         with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: {k: v for k, v in h.items() if k != "num_features"},
+         "lacks num_features"),
+        (lambda h: [h], "not a JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "params"},
+         "lacks params"),
+        (lambda h: {**h, "params": [["w", 3]]},
+         r"params are not \[name, shape\] pairs"),
+    ], ids=["no_num_features", "list", "no_params", "bad_params"])
+    def test_malformed_header_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "weights.bin"
+        save_checkpoint(path, small_model())
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = edit(json.loads(blob[8:8 + hlen]))
+        hb = json.dumps(header).encode()
+        path.write_bytes(struct.pack("<Q", len(hb)) + hb + blob[8 + hlen:])
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
 

@@ -22,6 +22,7 @@ A record holds, next to its runs:
 - the checkout's git revision (`git describe --always --dirty`, or null
   outside a git checkout) and a SHA-256 over the files of its `src/`,
   which tells an uncommitted tree from its base;
+- `src_lines`: the line count of the `.py` files under its `src/`;
 - the machine: core count, Python, numpy and BLAS versions, and the BLAS
   threads the runs used;
 - with --tier1, the wall time, outcome and ten slowest tests of a saved
@@ -47,6 +48,18 @@ A record holds, next to its runs:
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
 recorded as they are, with the fault under "wrong".
+
+    python3 tools/bench_record.py --trajectory
+
+reads every BENCH_*.json of the repo and prints, in file order, each
+workload's `change` median of every end-to-end metric over its untraced
+runs. Where the `change` record has a `calibration` block, the median is
+also shown at the speed of the first such record: a time divided by the
+dgemm_gflops ratio (that record's median over this one's), a rate
+multiplied by it; MB and fractions stay raw. Then it prints each pair of
+records run on the same `src/` (a file's `change` record and the next
+file's `parent` with the same `src_sha256`) as measured drift. A gain
+still counts only against its parent in the same file.
 """
 
 from __future__ import annotations
@@ -182,6 +195,12 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the .py files under src/."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src").rglob("*.py"))
+
+
 def machine(info: dict) -> dict:
     """The machine and library versions, from a run's settings line and
     this interpreter's numpy (the one the runs import)."""
@@ -299,7 +318,8 @@ def record(path: Path, label: str, tree: Path, runs: list, info=None,
     if rec is None:
         rec = {"label": label, "runs": []}
         doc["records"].append(rec)
-    rec.update(rev=git_rev(tree), src_sha256=src_sha256(tree))
+    rec.update(rev=git_rev(tree), src_sha256=src_sha256(tree),
+               src_lines=src_lines(tree))
     if info is not None:
         rec["machine"] = machine(info)
     for run in runs:
@@ -318,11 +338,111 @@ def record(path: Path, label: str, tree: Path, runs: list, info=None,
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def bench_files(root: Path = ROOT) -> list:
+    """The BENCH_<n>.json files under root, in the order of n."""
+    return sorted(root.glob("BENCH_*.json"),
+                  key=lambda p: int(p.stem.split("_")[1]))
+
+
+def end_to_end_units() -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["unit"] for m in spec["end_to_end"]}
+
+
+def record_of(path: Path, label: str) -> dict:
+    doc = json.loads(path.read_text())
+    return next(r for r in doc["records"] if r["label"] == label)
+
+
+def medians(rec: dict, metrics) -> dict:
+    """{workload: {metric: median}} over a record's untraced runs."""
+    values = {}
+    for run in rec["runs"]:
+        for name in metrics:
+            if run["trace"] == 0 and name in run["metrics"]:
+                values.setdefault(run["workload"], {}).setdefault(
+                    name, []).append(run["metrics"][name]["value"])
+    return {w: {m: float(np.median(v)) for m, v in by_metric.items()}
+            for w, by_metric in values.items()}
+
+
+def change_trajectory(paths) -> dict:
+    """{(workload, metric): [(file, raw median, calibrated median or
+    None)]} over the `change` records of `paths`, in their order. The
+    calibrated median is at the dgemm_gflops speed of the first change
+    record with a calibration block."""
+    units = end_to_end_units()
+    rows, speed = {}, None
+    for path in paths:
+        rec = record_of(path, "change")
+        scales = {}
+        if "calibration" in rec:
+            gflops = rec["calibration"]["dgemm_gflops"]["median"]
+            speed = speed or gflops
+            scales = {"s": gflops / speed, "1/s": speed / gflops}
+        for workload, by_metric in medians(rec, units).items():
+            for name, value in by_metric.items():
+                scale = scales.get(units[name])
+                rows.setdefault((workload, name), []).append(
+                    (path.stem, value, None if scale is None
+                     else value * scale))
+    return rows
+
+
+def same_src_pairs(paths) -> list:
+    """[(change file, parent file, {workload: {metric: (change median,
+    parent median)}}, {probe: (change, parent)})] for each file's `change`
+    record whose src_sha256 the next file's `parent` record shares; the
+    probes are the calibration medians and the tier-1 wall time, where
+    both records have them."""
+    units, pairs = end_to_end_units(), []
+    for first, second in zip(paths, paths[1:]):
+        before, after = record_of(first, "change"), record_of(second,
+                                                              "parent")
+        if before["src_sha256"] != after["src_sha256"]:
+            continue
+        b, a = medians(before, units), medians(after, units)
+        metrics = {w: {m: (v, a[w][m]) for m, v in b[w].items()
+                       if m in a.get(w, {})} for w in b if w in a}
+        probes = {name: (before["calibration"][name]["median"],
+                         after["calibration"][name]["median"])
+                  for name in CALIBRATION_UNITS
+                  if "calibration" in before and "calibration" in after}
+        if "tier1" in before and "tier1" in after:
+            probes["tier1_wall_s"] = (before["tier1"]["wall_s"],
+                                      after["tier1"]["wall_s"])
+        pairs.append((first.stem, second.stem, metrics, probes))
+    return pairs
+
+
+def print_trajectory(paths) -> None:
+    units = end_to_end_units()
+    print("change medians at trace 0, raw and at the dgemm speed of the "
+          "first calibrated record")
+    for (workload, name), rows in change_trajectory(paths).items():
+        print(f"{workload} {name} [{units[name]}]")
+        for stem, raw, calibrated in rows:
+            at = "" if calibrated is None else f"  calibrated {calibrated:.4g}"
+            print(f"  {stem}  {raw:.4g}{at}")
+    print("same-src pairs: change record, then the next file's parent")
+    for first, second, metrics, probes in same_src_pairs(paths):
+        print(f"{first} change -> {second} parent")
+        for workload, by_metric in metrics.items():
+            for name, (b, a) in by_metric.items():
+                print(f"  {workload} {name}: {b:.4g} -> {a:.4g} "
+                      f"(x{a / b:.3f})")
+        for name, (b, a) in probes.items():
+            print(f"  {name}: {b:.4g} -> {a:.4g} (x{a / b:.3f})")
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", type=Path, required=True,
+    parser.add_argument("--trajectory", action="store_true",
+                        help="print the checked-in BENCH files' trajectory "
+                             "and same-src drift, and record nothing")
+    parser.add_argument("--out", type=Path,
                         help="the BENCH file, relative to the repo root")
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="source checkout to run (default: this repo)")
     parser.add_argument("--seeds", type=int, nargs="*", default=[])
@@ -333,11 +453,17 @@ def parse_args(argv=None):
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--tier1", type=Path,
                         help="saved output of a `pytest --durations=10` run")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if not args.trajectory and (args.out is None or args.label is None):
+        parser.error("--out and --label are required to record")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.trajectory:
+        print_trajectory(bench_files())
+        return 0
     out = args.out if args.out.is_absolute() else ROOT / args.out
     tier1 = parse_tier1(args.tier1.read_text()) if args.tier1 else None
     tree = args.tree.resolve()
