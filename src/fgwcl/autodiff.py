@@ -348,33 +348,57 @@ def sigmoid(a: Tensor) -> Tensor:
                    lambda g: (g * out_data * (1.0 - out_data),))
 
 
+def slope_select(pos: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
+    """x where the bool array pos holds, s * x elsewhere, bit for bit as
+    np.where(pos, x, s * x) but with no branch per element: each entry is
+    x times 1.0 or s, looked up by the mask's bytes. np.where over a mask
+    that is half true mispredicts about every other entry."""
+    return np.take(np.array([s, 1.0]), pos.view(np.uint8)) * x
+
+
 def prelu(a: Tensor, slope: Tensor) -> Tensor:
-    """PReLU with a single learnable slope (1x1 tensor) for the layer."""
+    """PReLU with a single learnable slope (1x1 tensor) for the layer.
+
+    Both passes give np.where's results bit for bit, for every slope,
+    without a branch per element. For s > 0, s * d has d's sign, so the
+    output is the larger of d and s * d for s <= 1 and the smaller for
+    s > 1, and the two agree in every bit where they tie; other slopes
+    take slope_select. Backward derives its select from the input, so
+    the tape keeps no mask, and the slope's gradient sums the products
+    g * min(d, 0) in np.where's order."""
     a, slope = _lift(a), _lift(slope)
     if slope.shape != (1, 1):
         raise ValueError(f"prelu: slope must be 1x1, got {slope.shape}")
     d = a.data
-    pos = d > 0
     s = slope.data[0, 0]
-    out_data = np.where(pos, d, s * d)
+    if s > 0.0:
+        out_data = s * d
+        (np.maximum if s <= 1.0 else np.minimum)(out_data, d, out=out_data)
+    else:
+        out_data = slope_select(d > 0, d, s)
     return make_op("prelu", (a, slope), out_data,
-                   lambda g: (np.where(pos, g, s * g),
-                              np.sum(g * np.where(pos, 0.0, d)).reshape(1, 1)))
+                   lambda g: (slope_select(d > 0, g, s),
+                              np.sum(g * np.minimum(d, 0.0)).reshape(1, 1)))
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row to unit L2 norm; rows with norm < NORM_EPS map to zero."""
+    """Scale each row to unit L2 norm; rows with norm < NORM_EPS map to
+    zero, with a zero gradient. When every row's norm is at least
+    NORM_EPS, neither pass runs a select."""
     a = _lift(a)
     d = a.data
     norms = np.sqrt((d * d).sum(axis=1, keepdims=True))
     ok = norms >= NORM_EPS
-    safe = np.where(ok, norms, 1.0)
-    out_data = np.where(ok, d / safe, 0.0)
+    all_ok = bool(ok.all())
+    safe = norms if all_ok else np.where(ok, norms, 1.0)
+    out_data = d / safe
+    if not all_ok:
+        out_data = np.where(ok, out_data, 0.0)
 
     def back(g):
         dot = (g * d).sum(axis=1, keepdims=True)
         gin = g / safe - d * (dot / (safe ** 3))
-        return (np.where(ok, gin, 0.0),)
+        return (gin if all_ok else np.where(ok, gin, 0.0),)
 
     return make_op("l2_normalize_rows", (a,), out_data, back)
 

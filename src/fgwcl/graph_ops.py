@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import Tensor, make_op
+from .autodiff import Tensor, make_op, slope_select
 
 LEAKY_SLOPE = 0.2  # negative slope of the attention logits
 # edges per block of gat_layer's backward. Median of 15 timings
@@ -72,9 +72,10 @@ def spmm(matrix, z: Tensor) -> Tensor:
     m = sp.csr_matrix(matrix)
     if m.shape[1] != z.shape[0]:
         raise ValueError(f"spmm: incompatible shapes {m.shape} and {z.shape}")
-    mt = m.T.tocsr()
+    # m.T is a CSC view of m's arrays, built in no pass; its product sums
+    # each output row in the same order as a CSR copy of the transpose
     return make_op("spmm", (z,), np.asarray(m @ z.data),
-                   lambda g: (np.asarray(mt @ g),))
+                   lambda g: (np.asarray(m.T @ g),))
 
 
 def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
@@ -95,7 +96,9 @@ def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
     zp = zd @ wd
     raw = (zp @ sd)[row, 0] + (zp @ dd)[col, 0]
     pos = raw > 0
-    logits = np.where(pos, raw, LEAKY_SLOPE * raw)
+    # the larger of raw and LEAKY_SLOPE * raw, which tie only bit for bit
+    logits = LEAKY_SLOPE * raw
+    np.maximum(logits, raw, out=logits)
     ex = np.exp(logits - np.repeat(np.maximum.reduceat(logits, indptr[:-1]),
                                    counts))
     alpha = ex / np.repeat(np.add.reduceat(ex, indptr[:-1]), counts)
@@ -112,11 +115,10 @@ def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
             d_alpha[e0:e1] = prod.sum(axis=1)
         dot = np.add.reduceat(d_alpha * alpha, indptr[:-1])
         g_logits = (d_alpha - np.repeat(dot, counts)) * alpha
-        g_raw = np.where(pos, g_logits, LEAKY_SLOPE * g_logits)
-        g_es = np.zeros((n, 1))
-        g_ed = np.zeros((n, 1))
-        np.add.at(g_es[:, 0], row, g_raw)
-        np.add.at(g_ed[:, 0], col, g_raw)
+        g_raw = slope_select(pos, g_logits, LEAKY_SLOPE)
+        # bincount adds in edge order from 0, as np.add.at did
+        g_es = np.bincount(row, g_raw, n).reshape(n, 1)
+        g_ed = np.bincount(col, g_raw, n).reshape(n, 1)
         # zp's three terms in the order a tape of the separate steps sums
         # them, so the gradients are the same bit for bit
         d_zp = (np.asarray(weights.T @ g) + g_ed @ dd.T) + g_es @ sd.T

@@ -30,6 +30,7 @@ def test_every_record_names_every_benchmark_metric_with_its_unit(path):
              for m in spec["end_to_end"] + spec["per_layer"]}
     wrong = _recorder().WRONG_TRACED
     doc = json.loads(path.read_text())
+    number = int(path.stem.split("_")[1])
     assert doc["records"]
     for rec in doc["records"]:
         seen = set()
@@ -46,9 +47,10 @@ def test_every_record_names_every_benchmark_metric_with_its_unit(path):
         assert len(rec["tier1"]["slowest"]) == 10
         if "cold_start" in rec:  # files before BENCH_18.json lack it
             check_cold_start(rec["cold_start"])
-        if int(path.stem.split("_")[1]) >= 22:  # earlier files lack it
-            check_calibration(rec["calibration"])
-        if int(path.stem.split("_")[1]) >= 23:  # earlier files lack it
+        if number >= 22:  # earlier files lack it
+            check_calibration(rec["calibration"],
+                              copy_and_select=number >= 24)
+        if number >= 23:  # earlier files lack it
             assert type(rec["src_lines"]) is int and rec["src_lines"] > 0
 
 
@@ -70,9 +72,11 @@ def test_cold_start_block_of_this_checkout():
     assert block["runs"] == 1
 
 
-def check_calibration(block):
+def check_calibration(block, copy_and_select=True):
     units = {"dgemm_gflops": "GFLOP/s", "dgemm_two_threads_gflops":
              "GFLOP/s", "add_us": "us", "exp_ns": "ns"}
+    if copy_and_select:  # files before BENCH_24.json lack these probes
+        units.update(copy_gbps="GB/s", select_ns="ns")
     assert {name: probe["unit"] for name, probe in block.items()} == units
     for probe in block.values():
         assert probe["samples"] and min(probe["samples"]) > 0

@@ -43,7 +43,13 @@ A record holds, next to its runs:
     was free;
   - `add_us`: microseconds per `np.add` call on two (12, 12) arrays,
     the per-call cost of small numpy operations;
-  - `exp_ns`: nanoseconds per element of `np.exp` on 2^20 doubles.
+  - `exp_ns`: nanoseconds per element of `np.exp` on 2^20 doubles;
+  - `copy_gbps`: GB/s of `np.copyto` on a (2708, 256) float64 array, the
+    hetero encoder's hidden shape, counting the array's bytes once per
+    copy: the cost of one pass over memory;
+  - `select_ns`: nanoseconds per element of `np.where` between two
+    arrays of 2^20 doubles over a random mask that is half true: the
+    cost of a branch the CPU mispredicts about every other time.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
@@ -82,7 +88,8 @@ COLD_START_RUNS = 7
 CALIBRATION_ROUNDS = 7
 CALIBRATION_UNITS = {"dgemm_gflops": "GFLOP/s",
                      "dgemm_two_threads_gflops": "GFLOP/s",
-                     "add_us": "us", "exp_ns": "ns"}
+                     "add_us": "us", "exp_ns": "ns",
+                     "copy_gbps": "GB/s", "select_ns": "ns"}
 
 # run in a fresh interpreter: times the CLI's import and reports what it
 # loaded
@@ -105,9 +112,11 @@ import numpy as np
 rng = np.random.default_rng(0)
 a, b = rng.standard_normal((1024, 128)), rng.standard_normal((128, 2708))
 x, y = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
-v = rng.standard_normal(2 ** 20)
+v, w = rng.standard_normal(2 ** 20), rng.standard_normal(2 ** 20)
+mask = rng.random(2 ** 20) < 0.5
+c = rng.standard_normal((2708, 256))
 GFLOP = 2 * 1024 * 128 * 2708 / 1e9
-PRODUCTS, ADDS, EXPS = 3, 2000, 5
+PRODUCTS, ADDS, EXPS, COPIES, SELECTS = 3, 2000, 5, 20, 5
 
 def products():
     for _ in range(PRODUCTS):
@@ -145,7 +154,21 @@ def exp_ns():
         np.exp(v, out=out)
     return (time.perf_counter() - t0) / (EXPS * v.size) * 1e9
 
-probes = (dgemm_gflops, dgemm_two_threads_gflops, add_us, exp_ns)
+def copy_gbps():
+    out = np.empty_like(c)
+    t0 = time.perf_counter()
+    for _ in range(COPIES):
+        np.copyto(out, c)
+    return COPIES * c.nbytes / (time.perf_counter() - t0) / 1e9
+
+def select_ns():
+    t0 = time.perf_counter()
+    for _ in range(SELECTS):
+        np.where(mask, v, w)
+    return (time.perf_counter() - t0) / (SELECTS * v.size) * 1e9
+
+probes = (dgemm_gflops, dgemm_two_threads_gflops, add_us, exp_ns,
+          copy_gbps, select_ns)
 a @ b  # warm up BLAS
 samples = {p.__name__: [] for p in probes}
 for _ in range(int(sys.argv[1])):
@@ -407,7 +430,8 @@ def same_src_pairs(paths) -> list:
         probes = {name: (before["calibration"][name]["median"],
                          after["calibration"][name]["median"])
                   for name in CALIBRATION_UNITS
-                  if "calibration" in before and "calibration" in after}
+                  if name in before.get("calibration", {})
+                  and name in after.get("calibration", {})}
         if "tier1" in before and "tier1" in after:
             probes["tier1_wall_s"] = (before["tier1"]["wall_s"],
                                       after["tier1"]["wall_s"])
