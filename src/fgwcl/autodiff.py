@@ -364,8 +364,9 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
     output is the larger of d and s * d for s <= 1 and the smaller for
     s > 1, and the two agree in every bit where they tie; other slopes
     take slope_select. Backward derives its select from the input, so
-    the tape keeps no mask, and the slope's gradient sums the products
-    g * min(d, 0) in np.where's order."""
+    the tape keeps no mask. The slope's gradient sums g * min(d, 0), the
+    same products in the same order (np.minimum(-0.0, 0.0) may be 0.0,
+    which can change only the sign of a sum of zeros)."""
     a, slope = _lift(a), _lift(slope)
     if slope.shape != (1, 1):
         raise ValueError(f"prelu: slope must be 1x1, got {slope.shape}")

@@ -72,8 +72,8 @@ def spmm(matrix, z: Tensor) -> Tensor:
     m = sp.csr_matrix(matrix)
     if m.shape[1] != z.shape[0]:
         raise ValueError(f"spmm: incompatible shapes {m.shape} and {z.shape}")
-    # m.T is a CSC view of m's arrays, built in no pass; its product sums
-    # each output row in the same order as a CSR copy of the transpose
+    # m.T is a CSC view that shares m's arrays, so no transpose is built;
+    # its product sums each output row in a CSR transpose's order
     return make_op("spmm", (z,), np.asarray(m @ z.data),
                    lambda g: (np.asarray(m.T @ g),))
 
@@ -96,7 +96,8 @@ def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
     zp = zd @ wd
     raw = (zp @ sd)[row, 0] + (zp @ dd)[col, 0]
     pos = raw > 0
-    # the larger of raw and LEAKY_SLOPE * raw, which tie only bit for bit
+    # for 0 < LEAKY_SLOPE <= 1, the larger of raw and LEAKY_SLOPE * raw,
+    # which tie only bit for bit
     logits = LEAKY_SLOPE * raw
     np.maximum(logits, raw, out=logits)
     ex = np.exp(logits - np.repeat(np.maximum.reduceat(logits, indptr[:-1]),
@@ -116,7 +117,7 @@ def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
         dot = np.add.reduceat(d_alpha * alpha, indptr[:-1])
         g_logits = (d_alpha - np.repeat(dot, counts)) * alpha
         g_raw = slope_select(pos, g_logits, LEAKY_SLOPE)
-        # bincount adds in edge order from 0, as np.add.at did
+        # per-node sums taken one edge at a time, in edge order
         g_es = np.bincount(row, g_raw, n).reshape(n, 1)
         g_ed = np.bincount(col, g_raw, n).reshape(n, 1)
         # zp's three terms in the order a tape of the separate steps sums

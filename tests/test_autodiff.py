@@ -168,9 +168,12 @@ class TestGradients:
 
     def test_prelu(self, rng):
         a = rng.standard_normal((4, 5)) + 0.1
-        s = np.array([[0.25]])
-        check_grad(lambda p: ad.sum_all(ad.mul(ad.prelu(p["a"], p["s"]), p["a"])),
-                   {"a": a, "s": s})
+        # 0.25 takes the maximum of d and s d, 1.5 the minimum and -0.5
+        # the lookup select
+        for s in (0.25, 1.5, -0.5):
+            check_grad(lambda p: ad.sum_all(ad.mul(ad.prelu(p["a"], p["s"]),
+                                                   p["a"])),
+                       {"a": a, "s": np.array([[s]])})
 
     def test_l2_normalize_rows(self, rng):
         a = rng.standard_normal((4, 5))
@@ -255,6 +258,73 @@ class TestGradients:
                 x = ad.sigmoid(ad.mul(x, ad.constant(1.1)))
             return ad.sum_all(x)
         check_grad(build, {"a": a})
+
+
+def same_bits(got, want):
+    """Equal in every bit, so -0.0 differs from 0.0."""
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+def with_zeros(rng, shape):
+    """Normal entries, about a tenth of them 0.0 and a tenth -0.0."""
+    d = rng.standard_normal(shape)
+    u = rng.random(shape)
+    d[u < 0.1] = 0.0
+    d[u > 0.9] = -0.0
+    return d
+
+
+def last_op_rules(out, g):
+    """The output and the gradients of the tape's last op for upstream g."""
+    return out.data, ad.active_tape().ops[-1].backward_rule(g)
+
+
+class TestBranchFreeSelects:
+    """The select-free rules against the np.where formulation they replace."""
+
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.25, 1.0, 1.5])
+    def test_prelu_matches_where_bit_for_bit(self, slope, rng):
+        d = with_zeros(rng, (67, 33))
+        g = with_zeros(rng, d.shape)
+        ad.reset_tape()
+        out, (gx, gs) = last_op_rules(
+            ad.prelu(ad.Tensor(d, requires_grad=True),
+                     ad.Tensor([[slope]], requires_grad=True)), g)
+        pos = d > 0
+        assert same_bits(out, np.where(pos, d, slope * d))
+        assert same_bits(gx, np.where(pos, g, slope * g))
+        assert same_bits(gs, np.sum(g * np.where(pos, 0.0, d)).reshape(1, 1))
+
+    def test_prelu_keeps_no_mask(self, rng):
+        ad.reset_tape()
+        d = rng.standard_normal((5, 4))
+        ad.prelu(ad.Tensor(d, requires_grad=True),
+                 ad.Tensor([[0.25]], requires_grad=True))
+        rule = ad.active_tape().ops[-1].backward_rule
+        kept = [c.cell_contents for c in rule.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.dtype == bool
+                       for v in kept)
+
+    @pytest.mark.parametrize("tiny_row", [False, True])
+    def test_l2_normalize_rows_matches_where_bit_for_bit(self, tiny_row,
+                                                         rng):
+        d = rng.standard_normal((6, 5))
+        if tiny_row:  # nonzero, but below NORM_EPS: maps to 0, no gradient
+            d[3] = 1e-14
+        g = rng.standard_normal(d.shape)
+        ad.reset_tape()
+        out, (gin,) = last_op_rules(
+            ad.l2_normalize_rows(ad.Tensor(d, requires_grad=True)), g)
+        norms = np.sqrt((d * d).sum(axis=1, keepdims=True))
+        ok = norms >= ad.NORM_EPS
+        safe = np.where(ok, norms, 1.0)
+        dot = (g * d).sum(axis=1, keepdims=True)
+        assert same_bits(out, np.where(ok, d / safe, 0.0))
+        assert same_bits(gin, np.where(
+            ok, g / safe - d * (dot / (safe ** 3)), 0.0))
+        assert (out[3] == 0.0).all() == tiny_row
+        assert (gin[3] == 0.0).all() == tiny_row
 
 
 def reference_dropout(a, rate, rng):

@@ -32,6 +32,39 @@ def dense_gat(z, w, a_src, a_dst, mask, slope=0.2):
     return alpha @ zp
 
 
+def where_gat(z, w, a_src, a_dst, support, g):
+    """gat_layer's output and its four gradients for upstream g, with
+    np.where selects and np.add.at scatters: the formulation its
+    branch-free rules replace, step for step."""
+    n = support.n
+    row, col, indptr = support.row, support.indices, support.indptr
+    counts = np.diff(indptr)
+    zp = z @ w
+    raw = (zp @ a_src)[row, 0] + (zp @ a_dst)[col, 0]
+    pos = raw > 0
+    logits = np.where(pos, raw, 0.2 * raw)
+    ex = np.exp(logits - np.repeat(np.maximum.reduceat(logits, indptr[:-1]),
+                                   counts))
+    alpha = ex / np.repeat(np.add.reduceat(ex, indptr[:-1]), counts)
+    weights = sp.csr_matrix((alpha, col, indptr), shape=(n, n))
+    d_alpha = (g[row] * zp[col]).sum(axis=1)
+    dot = np.add.reduceat(d_alpha * alpha, indptr[:-1])
+    g_logits = (d_alpha - np.repeat(dot, counts)) * alpha
+    g_raw = np.where(pos, g_logits, 0.2 * g_logits)
+    g_es, g_ed = np.zeros((n, 1)), np.zeros((n, 1))
+    np.add.at(g_es[:, 0], row, g_raw)
+    np.add.at(g_ed[:, 0], col, g_raw)
+    d_zp = (np.asarray(weights.T @ g) + g_ed @ a_dst.T) + g_es @ a_src.T
+    return (np.asarray(weights @ zp),
+            (d_zp @ w.T, z.T @ d_zp, zp.T @ g_es, zp.T @ g_ed))
+
+
+def same_bits(got, want):
+    """Equal in every bit, so -0.0 differs from 0.0."""
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSupport:
     def test_identity_support(self):
         s = go.GraphSupport(4, np.arange(5), np.arange(4))
@@ -70,6 +103,17 @@ class TestSpmm:
         check_grad(lambda p: ad.sum_all(ad.mul(go.spmm(a, p["z"]),
                                                ad.constant(w))),
                    {"z": z})
+
+    def test_gradient_is_the_transposes_product(self, rng):
+        # backward multiplies by the CSC view m.T; a CSR copy of the
+        # transpose gives the same sums in the same order
+        a = sp.random(40, 40, density=0.2, random_state=3, format="csr")
+        g = rng.standard_normal((40, 6))
+        ad.reset_tape()
+        go.spmm(a, ad.Tensor(rng.standard_normal((40, 6)),
+                             requires_grad=True))
+        (got,) = ad.active_tape().ops[-1].backward_rule(g)
+        assert same_bits(got, np.asarray(a.T.tocsr() @ g))
 
     def test_shape_mismatch(self):
         a = sp.eye(4, format="csr")
@@ -128,6 +172,25 @@ class TestGatLayer:
                 go.gat_layer(p["z"], p["w"], p["a_src"], p["a_dst"], support),
                 ad.constant(target))),
                 params, tol=5e-6)
+
+    def test_matches_where_formulation_bit_for_bit(self, rng):
+        n, d = 30, 6
+        support, _ = random_support(n, rng, p=0.3)
+        z = rng.standard_normal((n, d))
+        w = rng.standard_normal((d, d)) * 0.4
+        a_src = rng.standard_normal((d, 1)) * 0.4
+        a_dst = rng.standard_normal((d, 1)) * 0.4
+        z[0] = 0.0  # node 0's self edge scores exactly 0
+        g = rng.standard_normal((n, d))
+        ad.reset_tape()
+        leaves = [ad.Tensor(x, requires_grad=True)
+                  for x in (z, w, a_src, a_dst)]
+        out = go.gat_layer(*leaves, support)
+        grads = ad.active_tape().ops[-1].backward_rule(g)
+        want_out, want_grads = where_gat(z, w, a_src, a_dst, support, g)
+        assert same_bits(out.data, want_out)
+        for got, want in zip(grads, want_grads):
+            assert same_bits(got, want)
 
     def test_memory_below_one_edge_buffer(self, rng):
         # about 17 edges per node: an (E, d) array is 8.3 MiB, and forward
