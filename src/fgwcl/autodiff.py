@@ -360,21 +360,21 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
     """PReLU with a single learnable slope (1x1 tensor) for the layer.
 
     Both passes give np.where's results bit for bit, for every slope,
-    without a branch per element. For s > 0, s * d has d's sign, so the
-    output is the larger of d and s * d for s <= 1 and the smaller for
-    s > 1, and the two agree in every bit where they tie; other slopes
-    take slope_select. Backward derives its select from the input, so
-    the tape keeps no mask. The slope's gradient sums g * min(d, 0), the
-    same products in the same order (np.minimum(-0.0, 0.0) may be 0.0,
-    which can change only the sign of a sum of zeros)."""
+    without a branch per element. For 0 < s <= 1, s * d has d's sign, so
+    the output is the larger of d and s * d, and the two agree in every
+    bit where they tie; other slopes take slope_select. Backward derives
+    its select from the input, so the tape keeps no mask. The slope's
+    gradient sums g * min(d, 0), the same products in the same order
+    (np.minimum(-0.0, 0.0) may be 0.0, which can change only the sign
+    of a sum of zeros)."""
     a, slope = _lift(a), _lift(slope)
     if slope.shape != (1, 1):
         raise ValueError(f"prelu: slope must be 1x1, got {slope.shape}")
     d = a.data
     s = slope.data[0, 0]
-    if s > 0.0:
+    if 0.0 < s <= 1.0:
         out_data = s * d
-        (np.maximum if s <= 1.0 else np.minimum)(out_data, d, out=out_data)
+        np.maximum(out_data, d, out=out_data)
     else:
         out_data = slope_select(d > 0, d, s)
     return make_op("prelu", (a, slope), out_data,
@@ -384,22 +384,21 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm; rows with norm < NORM_EPS map to
-    zero, with a zero gradient. When every row's norm is at least
-    NORM_EPS, neither pass runs a select."""
+    zero, with a zero gradient. Only those rows are zeroed: no pass
+    selects over the full array."""
     a = _lift(a)
     d = a.data
     norms = np.sqrt((d * d).sum(axis=1, keepdims=True))
-    ok = norms >= NORM_EPS
-    all_ok = bool(ok.all())
-    safe = norms if all_ok else np.where(ok, norms, 1.0)
+    tiny = ~(norms[:, 0] >= NORM_EPS)  # NaN norms too
+    safe = np.where(tiny[:, None], 1.0, norms)
     out_data = d / safe
-    if not all_ok:
-        out_data = np.where(ok, out_data, 0.0)
+    out_data[tiny] = 0.0
 
     def back(g):
         dot = (g * d).sum(axis=1, keepdims=True)
         gin = g / safe - d * (dot / (safe ** 3))
-        return (gin if all_ok else np.where(ok, gin, 0.0),)
+        gin[tiny] = 0.0
+        return (gin,)
 
     return make_op("l2_normalize_rows", (a,), out_data, back)
 

@@ -168,8 +168,8 @@ class TestGradients:
 
     def test_prelu(self, rng):
         a = rng.standard_normal((4, 5)) + 0.1
-        # 0.25 takes the maximum of d and s d, 1.5 the minimum and -0.5
-        # the lookup select
+        # 0.25 takes the maximum of d and s d, 1.5 and -0.5 the lookup
+        # select
         for s in (0.25, 1.5, -0.5):
             check_grad(lambda p: ad.sum_all(ad.mul(ad.prelu(p["a"], p["s"]),
                                                    p["a"])),
