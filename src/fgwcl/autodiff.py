@@ -337,47 +337,48 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    """The logistic function with no overflow and no branch per element:
+    with e = exp(-|d|), max(d >= 0, e) / (1 + e) is 1 / (1 + exp(-d)) for
+    d >= 0 (-0.0 included) and exp(d) / (1 + exp(d)) for d < 0."""
     a = _lift(a)
     d = a.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(d))
+    out_data = np.maximum(d >= 0, e)
+    out_data /= 1.0 + e
     return make_op("sigmoid", (a,), out_data,
                    lambda g: (g * out_data * (1.0 - out_data),))
 
 
 def slope_select(pos: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
-    """x where the bool array pos holds, s * x elsewhere, bit for bit as
-    np.where(pos, x, s * x) but with no branch per element: each entry is
-    x times 1.0 or s, looked up by the mask's bytes. np.where over a mask
-    that is half true mispredicts about every other entry."""
-    return np.take(np.array([s, 1.0]), pos.view(np.uint8)) * x
+    """x where the bool array pos holds, s * x elsewhere: the one slope rule
+    of prelu, its gradient and gat_layer's logits. Bit for bit
+    np.where(pos, x, s * x), which mispredicts about every other entry of
+    a half-true mask, but with no branch per element: x times a factor of
+    exactly 1.0 or s, max(pos, s) for 0 < s <= 1 and looked up by the
+    mask's bytes (about three times slower) for other slopes."""
+    if 0.0 < s <= 1.0:
+        factor = np.maximum(pos, s)
+    else:
+        factor = np.take(np.array([s, 1.0]), pos.view(np.uint8))
+    factor *= x
+    return factor
 
 
 def prelu(a: Tensor, slope: Tensor) -> Tensor:
     """PReLU with a single learnable slope (1x1 tensor) for the layer.
 
-    Both passes give np.where's results bit for bit, for every slope,
-    without a branch per element. For 0 < s <= 1, s * d has d's sign, so
-    the output is the larger of d and s * d, and the two agree in every
-    bit where they tie; other slopes take slope_select. Backward derives
-    its select from the input, so the tape keeps no mask. The slope's
-    gradient sums g * min(d, 0), the same products in the same order
-    (np.minimum(-0.0, 0.0) may be 0.0, which can change only the sign
-    of a sum of zeros)."""
+    Both passes select with slope_select, so they give np.where's results
+    bit for bit, for every slope. Backward derives its select from the
+    input, so the tape keeps no mask. The slope's gradient sums
+    g * min(d, 0), the same products in the same order
+    (np.minimum(-0.0, 0.0) may be 0.0, which can change only the sign of
+    a sum of zeros)."""
     a, slope = _lift(a), _lift(slope)
     if slope.shape != (1, 1):
         raise ValueError(f"prelu: slope must be 1x1, got {slope.shape}")
     d = a.data
     s = slope.data[0, 0]
-    if 0.0 < s <= 1.0:
-        out_data = s * d
-        np.maximum(out_data, d, out=out_data)
-    else:
-        out_data = slope_select(d > 0, d, s)
-    return make_op("prelu", (a, slope), out_data,
+    return make_op("prelu", (a, slope), slope_select(d > 0, d, s),
                    lambda g: (slope_select(d > 0, g, s),
                               np.sum(g * np.minimum(d, 0.0)).reshape(1, 1)))
 

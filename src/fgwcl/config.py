@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +60,8 @@ class TrainConfig:
 
     def __post_init__(self):
         def positive(name):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, "
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
 
         for name in ("lr", "lr_fusion", "beta", "tau", "bapg_tol"):
@@ -72,8 +73,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), "
                                  f"got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.num_anchors < 0:

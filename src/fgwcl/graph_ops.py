@@ -96,10 +96,7 @@ def gat_layer(z: Tensor, w_proj: Tensor, a_src: Tensor, a_dst: Tensor,
     zp = zd @ wd
     raw = (zp @ sd)[row, 0] + (zp @ dd)[col, 0]
     pos = raw > 0
-    # for 0 < LEAKY_SLOPE <= 1, the larger of raw and LEAKY_SLOPE * raw,
-    # which tie only bit for bit
-    logits = LEAKY_SLOPE * raw
-    np.maximum(logits, raw, out=logits)
+    logits = slope_select(pos, raw, LEAKY_SLOPE)
     ex = np.exp(logits - np.repeat(np.maximum.reduceat(logits, indptr[:-1]),
                                    counts))
     alpha = ex / np.repeat(np.add.reduceat(ex, indptr[:-1]), counts)

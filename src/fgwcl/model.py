@@ -128,33 +128,29 @@ class Model:
             p[name] = Tensor(np.asarray(data, dtype=np.float64),
                              requires_grad=True)
 
+        def psi(prefix, width):
+            """A fusion MLP on [h_f | h_s | score] of width 2*width+1."""
+            first = _glorot(rng, 2 * width + 1, width,
+                            (2 * width + 1, width))
+            param(prefix + "wf", first[:width])
+            param(prefix + "ws", first[width:2 * width])
+            param(prefix + "wd", first[2 * width:])
+            param(prefix + "b1", np.zeros((1, width)))
+            param(prefix + "slope", np.full((1, 1), PRELU_INIT))
+            param(prefix + "w2", _glorot(rng, width, 1, (width, 1)))
+            param(prefix + "b2", np.zeros((1, 1)))
+
         param("enc_w1", _glorot(rng, f, hd, (f, hd)))
         param("enc_slope1", np.full((1, 1), PRELU_INIT))
         param("enc_w2", _glorot(rng, hd, d, (hd, d)))
         param("enc_slope2", np.full((1, 1), PRELU_INIT))
-        # layer-1 fusion MLP: input [h_f | h_s | score] of width 2*hd+1
-        inner = _glorot(rng, 2 * hd + 1, hd, (2 * hd + 1, hd))
-        param("enc_fuse_wf", inner[:hd])
-        param("enc_fuse_ws", inner[hd:2 * hd])
-        param("enc_fuse_wd", inner[2 * hd:])
-        param("enc_fuse_b1", np.zeros((1, hd)))
-        param("enc_fuse_slope", np.full((1, 1), PRELU_INIT))
-        param("enc_fuse_w2", _glorot(rng, hd, 1, (hd, 1)))
-        param("enc_fuse_b2", np.zeros((1, 1)))
+        psi("enc_fuse_", hd)  # layer 1
         # one attention layer shared by both generator channels
         param("gat_w", _glorot(rng, d, d, (d, d)))
         att = _glorot(rng, 2 * d, 1, (2 * d, 1))
         param("gat_a_src", att[:d])
         param("gat_a_dst", att[d:])
-        # shared output-width fusion MLP psi
-        outer = _glorot(rng, 2 * d + 1, d, (2 * d + 1, d))
-        param("fuse_wf", outer[:d])
-        param("fuse_ws", outer[d:2 * d])
-        param("fuse_wd", outer[2 * d:])
-        param("fuse_b1", np.zeros((1, d)))
-        param("fuse_slope", np.full((1, 1), PRELU_INIT))
-        param("fuse_w2", _glorot(rng, d, 1, (d, 1)))
-        param("fuse_b2", np.zeros((1, 1)))
+        psi("fuse_", d)  # shared output-width psi
         self.params = p
 
     # -- parameter groups ---------------------------------------------------

@@ -49,14 +49,12 @@ class FgwConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("beta", "tol", "tau"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass
@@ -196,8 +194,8 @@ def _check_marginal(name: str, w: np.ndarray, size: int) -> np.ndarray:
     w = np.ascontiguousarray(w, dtype=np.float64).ravel()
     if w.shape != (size,):
         raise ValueError(f"{name} has length {w.size}, expected {size}")
-    if (w <= 0).any():
-        raise ValueError(f"{name} must be strictly positive")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError(f"{name} must be finite and strictly positive")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1, got {w.sum()}")
     return w

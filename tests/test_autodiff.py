@@ -306,6 +306,32 @@ class TestBranchFreeSelects:
         assert not any(isinstance(v, np.ndarray) and v.dtype == bool
                        for v in kept)
 
+    @pytest.mark.parametrize("slope", [
+        5e-324, 1e-3, 0.2, 0.25, 1.0,  # the factor max(pos, s)
+        -0.5, 0.0, 1.5, 2.0])  # the factor looked up by the mask
+    @pytest.mark.parametrize("own_sign", [True, False])
+    def test_slope_select_matches_where_bit_for_bit(self, slope, own_sign,
+                                                    rng):
+        x = with_zeros(rng, (67, 33))
+        pos = (x if own_sign else with_zeros(rng, x.shape)) > 0
+        assert same_bits(ad.slope_select(pos, x, slope),
+                         np.where(pos, x, slope * x))
+
+    @pytest.mark.parametrize("draws", [False, True])
+    def test_sigmoid_matches_two_form_reference_bit_for_bit(self, draws,
+                                                            rng):
+        if draws:
+            d = 30.0 * rng.standard_normal((100, 1000))
+        else:
+            edges = [0.0, 1e-300, 40.0, 745.2, 746.0, 800.0]
+            d = np.array([[v for e in edges for v in (e, -e)]])
+        want = np.empty_like(d)
+        pos = d >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ez = np.exp(d[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        assert same_bits(ad.sigmoid(ad.Tensor(d)).data, want)
+
     @pytest.mark.parametrize("tiny_row", [False, True])
     def test_l2_normalize_rows_matches_where_bit_for_bit(self, tiny_row,
                                                          rng):

@@ -217,6 +217,16 @@ class TestDistance:
         assert "feature dimensions differ" in capsys.readouterr().err
 
 
+    def test_non_finite_tolerance_fails(self, tmp_path, capsys):
+        a = self.write_pair(tmp_path, "a", [(0, 1)], [[0.5], [0.1]])
+        b = self.write_pair(tmp_path, "b", [(0, 1)], [[0.4], [0.2]])
+        rc = cli.main(["distance", *a, *b, "--alpha", "0.5",
+                       "--bapg-tol", "nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tol must be positive" in err
+
+
 def test_missing_command_exits():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -26,6 +26,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=field.split("_")[0]):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["lr", "lr_fusion", "beta", "tau",
+                                       "bapg_tol", "beta1", "beta2"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            TrainConfig(**{field: value})
+
     def test_range_checked_enforces_tuning_intervals(self):
         good = dict(lr=1e-3, lr_fusion=5e-4, alpha=0.6, beta=0.05, k=12,
                     tau=0.5, dropout=0.2, fusion_dropout=0.1,
@@ -84,6 +91,13 @@ class TestFiles:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"lr": {literal}}}')
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
             load_config(path)
 
     def test_non_object_rejected(self, tmp_path):

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from conftest import check_grad
 from fgwcl import autodiff as ad
 from fgwcl.graph import make_graph
-from fgwcl.model import (Model, combine_channels, load_checkpoint,
-                         prepare_graph, restore_model, save_checkpoint)
+from fgwcl.model import (PRELU_INIT, Model, _glorot, combine_channels,
+                         load_checkpoint, prepare_graph, restore_model,
+                         save_checkpoint)
 
 
 def small_graph(rng, n=10, num_features=4, p=0.35):
@@ -326,6 +327,31 @@ class TestGradients:
         check_grad(build, params, h=1e-5, tol=1e-4)
 
 
+def spelled_out_params(f, hd, d, seed):
+    """Model's parameters declared one by one, psi's block written out for
+    each of its two widths: the rng draws and the order a checkpoint's
+    bytes depend on."""
+    rng = np.random.default_rng(seed)
+    p = {"enc_w1": _glorot(rng, f, hd, (f, hd)),
+         "enc_slope1": np.full((1, 1), PRELU_INIT),
+         "enc_w2": _glorot(rng, hd, d, (hd, d)),
+         "enc_slope2": np.full((1, 1), PRELU_INIT)}
+    inner = _glorot(rng, 2 * hd + 1, hd, (2 * hd + 1, hd))
+    p.update(enc_fuse_wf=inner[:hd], enc_fuse_ws=inner[hd:2 * hd],
+             enc_fuse_wd=inner[2 * hd:], enc_fuse_b1=np.zeros((1, hd)),
+             enc_fuse_slope=np.full((1, 1), PRELU_INIT),
+             enc_fuse_w2=_glorot(rng, hd, 1, (hd, 1)),
+             enc_fuse_b2=np.zeros((1, 1)))
+    p["gat_w"] = _glorot(rng, d, d, (d, d))
+    att = _glorot(rng, 2 * d, 1, (2 * d, 1))
+    p.update(gat_a_src=att[:d], gat_a_dst=att[d:])
+    outer = _glorot(rng, 2 * d + 1, d, (2 * d + 1, d))
+    p.update(fuse_wf=outer[:d], fuse_ws=outer[d:2 * d], fuse_wd=outer[2 * d:],
+             fuse_b1=np.zeros((1, d)), fuse_slope=np.full((1, 1), PRELU_INIT),
+             fuse_w2=_glorot(rng, d, 1, (d, 1)), fuse_b2=np.zeros((1, 1)))
+    return p
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         model = small_model(seed=7, dropout=0.1)
@@ -338,6 +364,17 @@ class TestCheckpoint:
         for name, tensor in model.params.items():
             assert_allclose(restored.params[name].data, tensor.data)
         assert restored.dropout == 0.1
+
+    def test_bytes_match_the_spelled_out_declaration(self, tmp_path):
+        model = Model(5, hidden_dim=6, out_dim=4, seed=3)
+        spelled = Model(5, hidden_dim=6, out_dim=4, seed=3)
+        spelled.params = {name: ad.Tensor(data, requires_grad=True)
+                          for name, data in spelled_out_params(5, 6, 4,
+                                                               3).items()}
+        save_checkpoint(tmp_path / "model.bin", model)
+        save_checkpoint(tmp_path / "spelled.bin", spelled)
+        assert ((tmp_path / "model.bin").read_bytes()
+                == (tmp_path / "spelled.bin").read_bytes())
 
     def test_restored_model_reproduces_outputs(self, tmp_path, rng):
         g = small_graph(rng)

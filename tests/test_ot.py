@@ -362,6 +362,22 @@ class TestConfig:
             ot.FgwConfig(**kwargs)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["beta", "tol", "tau"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and "
+                                             f"finite"):
+            ot.FgwConfig(alpha=0.5, **{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_marginal_rejected(self, rng, value):
+        mu = uniform(3)
+        mu[1] = value
+        with pytest.raises(ValueError, match="mu must be finite"):
+            ot.bapg_fgwd(random_costs(rng, 3, 4), mu, uniform(4),
+                         ot.FgwConfig(alpha=0.5))
+
+
 class TestBapg:
     def test_one_by_one_forced_plan(self):
         costs = ot.CostMatrices(M=ad.Tensor([[0.5]]), C1=ad.Tensor([[1.0]]),
