@@ -350,8 +350,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def slope_select(pos: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
-    """x where the bool array pos holds, s * x elsewhere: the one slope rule
-    of prelu, its gradient and gat_layer's logits. Bit for bit
+    """x where the bool array pos holds, s * x elsewhere: the one slope rule,
+    which prelu and gat_layer call in both passes. Bit for bit
     np.where(pos, x, s * x), which mispredicts about every other entry of
     a half-true mask, but with no branch per element: x times a factor of
     exactly 1.0 or s, max(pos, s) for 0 < s <= 1 and looked up by the

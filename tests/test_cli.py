@@ -216,7 +216,6 @@ class TestDistance:
         assert rc == 1
         assert "feature dimensions differ" in capsys.readouterr().err
 
-
     def test_non_finite_tolerance_fails(self, tmp_path, capsys):
         a = self.write_pair(tmp_path, "a", [(0, 1)], [[0.5], [0.1]])
         b = self.write_pair(tmp_path, "b", [(0, 1)], [[0.4], [0.2]])

@@ -361,7 +361,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ot.FgwConfig(**kwargs)
 
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["beta", "tol", "tau"])
     def test_non_finite_rejected(self, field, value):
