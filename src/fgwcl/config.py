@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +60,12 @@ class TrainConfig:
     range_checked: bool = False
 
     def __post_init__(self):
+        for name in _INT_FIELDS:  # NaN, inf and 2.5 would pass the < checks
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
         def positive(name):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "

@@ -3,11 +3,9 @@ synthetic two-block generator with spiked Gaussian features."""
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -422,28 +420,3 @@ def make_splits(g: Graph, mode: str, seed: int,
     return SplitSpec(dev_mask=dev_mask, test_mask=test_mask,
                      train_mask=train_mask, val_mask=val_mask,
                      seed=seed, mode=mode)
-
-
-def save_splits(spec: SplitSpec, path) -> None:
-    payload = {
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "dev": np.where(spec.dev_mask)[0].tolist(),
-        "test": np.where(spec.test_mask)[0].tolist(),
-        "train": np.where(spec.train_mask)[0].tolist(),
-        "val": np.where(spec.val_mask)[0].tolist(),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_splits(path, n: int) -> SplitSpec:
-    payload = json.loads(Path(path).read_text())
-
-    def mask(ids):
-        m = np.zeros(n, dtype=bool)
-        m[np.asarray(ids, dtype=np.int64)] = True
-        return m
-
-    return SplitSpec(dev_mask=mask(payload["dev"]), test_mask=mask(payload["test"]),
-                     train_mask=mask(payload["train"]), val_mask=mask(payload["val"]),
-                     seed=int(payload["seed"]), mode=payload["mode"])

@@ -20,8 +20,9 @@ class AdamState:
     """Per-parameter moment estimates plus the shared step counter."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError(f"adam: learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:  # NaN fails too
+            raise ValueError(f"adam: learning rate must be positive and "
+                             f"finite, got {lr}")
         self.lr = lr
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}

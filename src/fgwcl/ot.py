@@ -21,6 +21,7 @@ Solomon, 2016); a stack's solve computes no objective of its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,10 @@ class FgwConfig:
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)):
+            raise ValueError(f"max_iters must be an integer, "
+                             f"got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

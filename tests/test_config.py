@@ -33,6 +33,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be .* finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 2.5])
+    @pytest.mark.parametrize("field", ["k", "epochs", "bapg_iters",
+                                       "num_anchors", "num_negatives",
+                                       "hidden_dim", "out_dim"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_range_checked_enforces_tuning_intervals(self):
         good = dict(lr=1e-3, lr_fusion=5e-4, alpha=0.6, beta=0.05, k=12,
                     tau=0.5, dropout=0.2, fusion_dropout=0.1,

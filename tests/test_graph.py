@@ -335,13 +335,3 @@ class TestSplits:
         g = self.make_labeled()
         with pytest.raises(ValueError):
             gr.make_splits(g, "random", seed=0)
-
-    def test_json_round_trip(self, tmp_path):
-        g = self.make_labeled()
-        s = gr.make_splits(g, "planetoid", seed=3)
-        gr.save_splits(s, tmp_path / "splits.json")
-        back = gr.load_splits(tmp_path / "splits.json", g.n)
-        for name in ("dev_mask", "test_mask", "train_mask", "val_mask"):
-            assert np.array_equal(getattr(s, name), getattr(back, name))
-        assert back.seed == 3
-        assert back.mode == "planetoid"

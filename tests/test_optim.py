@@ -86,3 +86,8 @@ class TestAdam:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             AdamState({"w": make_param([[0.0]])}, lr=0.0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AdamState({"w": make_param([[0.0]])}, lr=lr)

@@ -368,6 +368,11 @@ class TestConfig:
                                              f"finite"):
             ot.FgwConfig(alpha=0.5, **{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+    def test_non_integer_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            ot.FgwConfig(alpha=0.5, max_iters=value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_marginal_rejected(self, rng, value):
         mu = uniform(3)

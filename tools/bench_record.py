@@ -31,25 +31,6 @@ A record holds, next to its runs:
   fgwcl.cli` from the checkout's `src/` in 7 fresh interpreters with
   BLAS at 1 thread (median and quartiles), the median ru_maxrss after
   the import, and the sorted `scipy.*` modules the import loaded;
-- `calibration`: fixed probes of the machine's speed that no change to
-  the checkout can move, measured in a fresh interpreter with BLAS at 1
-  thread before and after each call's runs, in 7 rounds that take every
-  probe in turn. Each probe keeps its samples from every call of the
-  record and their median and quartiles:
-  - `dgemm_gflops`: GFLOP/s of a (1024, 128) @ (128, 2708) float64
-    product, the hetero node loss's block shape, on one thread;
-  - `dgemm_two_threads_gflops`: the same product on two threads at
-    once, counting both; about twice `dgemm_gflops` when a second core
-    was free;
-  - `add_us`: microseconds per `np.add` call on two (12, 12) arrays,
-    the per-call cost of small numpy operations;
-  - `exp_ns`: nanoseconds per element of `np.exp` on 2^20 doubles;
-  - `copy_gbps`: GB/s of `np.copyto` on a (2708, 256) float64 array, the
-    hetero encoder's hidden shape, counting the array's bytes once per
-    copy: the cost of one pass over memory;
-  - `select_ns`: nanoseconds per element of `np.where` between two
-    arrays of 2^20 doubles over a random mask that is half true: the
-    cost of a branch the CPU mispredicts about every other time.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
@@ -59,13 +40,10 @@ recorded as they are, with the fault under "wrong".
 
 reads every BENCH_*.json of the repo and prints, in file order, each
 workload's `change` median of every end-to-end metric over its untraced
-runs. Where the `change` record has a `calibration` block, the median is
-also shown at the speed of the first such record: a time divided by the
-dgemm_gflops ratio (that record's median over this one's), a rate
-multiplied by it; MB and fractions stay raw. Then it prints each pair of
-records run on the same `src/` (a file's `change` record and the next
-file's `parent` with the same `src_sha256`) as measured drift. A gain
-still counts only against its parent in the same file.
+runs. Then it prints each pair of records run on the same `src/` (a
+file's `change` record and the next file's `parent` with the same
+`src_sha256`), with their tier-1 wall times, as measured drift between
+sessions. A gain still counts only against its parent in the same file.
 """
 
 from __future__ import annotations
@@ -85,11 +63,6 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-v2-n10000", "train-full-hetero-n2708", "distance-pairs")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COLD_START_RUNS = 7
-CALIBRATION_ROUNDS = 7
-CALIBRATION_UNITS = {"dgemm_gflops": "GFLOP/s",
-                     "dgemm_two_threads_gflops": "GFLOP/s",
-                     "add_us": "us", "exp_ns": "ns",
-                     "copy_gbps": "GB/s", "select_ns": "ns"}
 
 # run in a fresh interpreter: times the CLI's import and reports what it
 # loaded
@@ -102,79 +75,6 @@ print(json.dumps({
     "import_s": import_s,
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
-"""
-
-# run in a fresh interpreter with BLAS at 1 thread: `rounds` rounds of
-# every probe in turn, printed as {probe: [one sample per round]}
-_CALIBRATE = """
-import json, sys, threading, time
-import numpy as np
-rng = np.random.default_rng(0)
-a, b = rng.standard_normal((1024, 128)), rng.standard_normal((128, 2708))
-x, y = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
-v, w = rng.standard_normal(2 ** 20), rng.standard_normal(2 ** 20)
-mask = rng.random(2 ** 20) < 0.5
-c = rng.standard_normal((2708, 256))
-GFLOP = 2 * 1024 * 128 * 2708 / 1e9
-PRODUCTS, ADDS, EXPS, COPIES, SELECTS = 3, 2000, 5, 20, 5
-
-def products():
-    for _ in range(PRODUCTS):
-        a @ b
-
-def dgemm_gflops():
-    t0 = time.perf_counter()
-    products()
-    return PRODUCTS * GFLOP / (time.perf_counter() - t0)
-
-def dgemm_two_threads_gflops():
-    start = threading.Barrier(3)
-    def work():
-        start.wait()
-        products()
-    threads = [threading.Thread(target=work) for _ in range(2)]
-    for t in threads:
-        t.start()
-    start.wait()
-    t0 = time.perf_counter()
-    for t in threads:
-        t.join()
-    return 2 * PRODUCTS * GFLOP / (time.perf_counter() - t0)
-
-def add_us():
-    t0 = time.perf_counter()
-    for _ in range(ADDS):
-        np.add(x, y)
-    return (time.perf_counter() - t0) / ADDS * 1e6
-
-def exp_ns():
-    out = np.empty_like(v)
-    t0 = time.perf_counter()
-    for _ in range(EXPS):
-        np.exp(v, out=out)
-    return (time.perf_counter() - t0) / (EXPS * v.size) * 1e9
-
-def copy_gbps():
-    out = np.empty_like(c)
-    t0 = time.perf_counter()
-    for _ in range(COPIES):
-        np.copyto(out, c)
-    return COPIES * c.nbytes / (time.perf_counter() - t0) / 1e9
-
-def select_ns():
-    t0 = time.perf_counter()
-    for _ in range(SELECTS):
-        np.where(mask, v, w)
-    return (time.perf_counter() - t0) / (SELECTS * v.size) * 1e9
-
-probes = (dgemm_gflops, dgemm_two_threads_gflops, add_us, exp_ns,
-          copy_gbps, select_ns)
-a @ b  # warm up BLAS
-samples = {p.__name__: [] for p in probes}
-for _ in range(int(sys.argv[1])):
-    for p in probes:
-        samples[p.__name__].append(p())
-print(json.dumps(samples))
 """
 
 # traced metrics whose value does not mean what their name says
@@ -267,26 +167,6 @@ def cold_start(tree: Path, runs: int = COLD_START_RUNS) -> dict:
             "scipy_modules": samples[-1]["scipy"]}
 
 
-def calibrate(rounds: int = CALIBRATION_ROUNDS) -> dict:
-    """{probe: samples} from `rounds` rounds of the calibration probes in a
-    fresh interpreter with BLAS at 1 thread."""
-    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
-    return json.loads(subprocess.run(
-        [sys.executable, "-c", _CALIBRATE, str(rounds)], env=env,
-        capture_output=True, text=True, check=True).stdout)
-
-
-def calibration_block(samples: dict, earlier=None) -> dict:
-    """Each probe's samples, appended to those of an `earlier` block, with
-    their median and quartiles in the probe's unit."""
-    block = {}
-    for name, unit in CALIBRATION_UNITS.items():
-        values = (earlier[name]["samples"] if earlier else []) + [
-            float(v) for v in samples[name]]
-        block[name] = {**quartiles(values, unit), "samples": values}
-    return block
-
-
 def run_one(tree: Path, workload: str, seed: int, trace: int,
             seconds: float) -> tuple[dict, dict]:
     """One bench/run.py process: its settings line, and the run as the
@@ -330,10 +210,10 @@ def user_sys_per_epoch(details: dict, attempted: int):
 
 
 def record(path: Path, label: str, tree: Path, runs: list, info=None,
-           tier1=None, cold=None, calibration=None) -> None:
+           tier1=None, cold=None) -> None:
     """Merge runs, the machine of a settings line `info`, a tier-1
-    summary, a cold-start block and calibration samples into the record
-    `label` of the file at `path`."""
+    summary and a cold-start block into the record `label` of the file
+    at `path`."""
     doc = json.loads(path.read_text()) if path.exists() else {
         "benchmark": "BENCHMARK.json", "wrong_traced_metrics": WRONG_TRACED,
         "records": []}
@@ -355,9 +235,6 @@ def record(path: Path, label: str, tree: Path, runs: list, info=None,
         rec["tier1"] = tier1
     if cold is not None:
         rec["cold_start"] = cold
-    if calibration is not None:
-        rec["calibration"] = calibration_block(calibration,
-                                               rec.get("calibration"))
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -390,25 +267,15 @@ def medians(rec: dict, metrics) -> dict:
 
 
 def change_trajectory(paths) -> dict:
-    """{(workload, metric): [(file, raw median, calibrated median or
-    None)]} over the `change` records of `paths`, in their order. The
-    calibrated median is at the dgemm_gflops speed of the first change
-    record with a calibration block."""
-    units = end_to_end_units()
-    rows, speed = {}, None
+    """{(workload, metric): [(file, median)]} over the `change` records of
+    `paths`, in their order."""
+    units, rows = end_to_end_units(), {}
     for path in paths:
-        rec = record_of(path, "change")
-        scales = {}
-        if "calibration" in rec:
-            gflops = rec["calibration"]["dgemm_gflops"]["median"]
-            speed = speed or gflops
-            scales = {"s": gflops / speed, "1/s": speed / gflops}
-        for workload, by_metric in medians(rec, units).items():
+        for workload, by_metric in medians(record_of(path, "change"),
+                                           units).items():
             for name, value in by_metric.items():
-                scale = scales.get(units[name])
                 rows.setdefault((workload, name), []).append(
-                    (path.stem, value, None if scale is None
-                     else value * scale))
+                    (path.stem, value))
     return rows
 
 
@@ -416,8 +283,7 @@ def same_src_pairs(paths) -> list:
     """[(change file, parent file, {workload: {metric: (change median,
     parent median)}}, {probe: (change, parent)})] for each file's `change`
     record whose src_sha256 the next file's `parent` record shares; the
-    probes are the calibration medians and the tier-1 wall time, where
-    both records have them."""
+    one probe is the tier-1 wall time, where both records have it."""
     units, pairs = end_to_end_units(), []
     for first, second in zip(paths, paths[1:]):
         before, after = record_of(first, "change"), record_of(second,
@@ -427,11 +293,7 @@ def same_src_pairs(paths) -> list:
         b, a = medians(before, units), medians(after, units)
         metrics = {w: {m: (v, a[w][m]) for m, v in b[w].items()
                        if m in a.get(w, {})} for w in b if w in a}
-        probes = {name: (before["calibration"][name]["median"],
-                         after["calibration"][name]["median"])
-                  for name in CALIBRATION_UNITS
-                  if name in before.get("calibration", {})
-                  and name in after.get("calibration", {})}
+        probes = {}
         if "tier1" in before and "tier1" in after:
             probes["tier1_wall_s"] = (before["tier1"]["wall_s"],
                                       after["tier1"]["wall_s"])
@@ -441,13 +303,11 @@ def same_src_pairs(paths) -> list:
 
 def print_trajectory(paths) -> None:
     units = end_to_end_units()
-    print("change medians at trace 0, raw and at the dgemm speed of the "
-          "first calibrated record")
+    print("change medians at trace 0")
     for (workload, name), rows in change_trajectory(paths).items():
         print(f"{workload} {name} [{units[name]}]")
-        for stem, raw, calibrated in rows:
-            at = "" if calibrated is None else f"  calibrated {calibrated:.4g}"
-            print(f"  {stem}  {raw:.4g}{at}")
+        for stem, median in rows:
+            print(f"  {stem}  {median:.4g}")
     print("same-src pairs: change record, then the next file's parent")
     for first, second, metrics, probes in same_src_pairs(paths):
         print(f"{first} change -> {second} parent")
@@ -492,7 +352,6 @@ def main(argv=None) -> int:
     tier1 = parse_tier1(args.tier1.read_text()) if args.tier1 else None
     tree = args.tree.resolve()
     runs, info = [], None
-    before = calibrate()
     for seed in args.seeds:
         for workload in args.workloads:
             for trace in args.traces:
@@ -501,9 +360,7 @@ def main(argv=None) -> int:
                 print(json.dumps({k: run[k] for k in (
                     "workload", "seed", "trace", "correct")}), flush=True)
                 runs.append(run)
-    after = calibrate()
-    record(out, args.label, tree, runs, info, tier1, cold_start(tree),
-           {name: before[name] + after[name] for name in before})
+    record(out, args.label, tree, runs, info, tier1, cold_start(tree))
     return 0
 
 
