@@ -30,7 +30,7 @@ A record holds, next to its runs:
 - `cold_start`, measured on every call: the wall time of `import
   fgwcl.cli` from the checkout's `src/` in 7 fresh interpreters with
   BLAS at 1 thread (median and quartiles), the median ru_maxrss after
-  the import, and the sorted `scipy.*` modules the import loaded;
+  the import, and the sorted `scipy.*` modules the import loaded.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
