@@ -166,7 +166,8 @@ def _cmd_distance(args) -> int:
             f"feature dimensions differ: {g_a.num_features} vs "
             f"{g_b.num_features}")
     cfg = FgwConfig(alpha=args.alpha, beta=args.beta, tau=args.tau,
-                    max_iters=args.bapg_iters, tol=args.bapg_tol)
+                    max_iters=args.bapg_iters, tol=args.bapg_tol,
+                    seed=_load_cfg(args).seed)
     costs = build_cost_matrices(g_a.adjacency.toarray(),
                                 g_b.adjacency.toarray(), g_a.x, g_b.x,
                                 cfg.tau)

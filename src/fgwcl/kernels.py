@@ -24,7 +24,8 @@ after a shift by the exact max along that axis, which leaves every row
 (column) an entry of 1. At graph seed 4201 the hetero benchmark's
 epoch-0 stack takes that path in all 30 of its column half-steps and in
 none of its row half-steps; the v2 stack, in none of its 40 half-steps,
-and the distance benchmark's 16 solves in none of their 1600. The
+and the distance benchmark's 16 solves, in the dense form and in the
+sparse one, in none of their 1600. The
 folded constant is rounded once and subtracted every iteration, so over
 very long solves the plans drift from those of an exact-max shift at
 each half-step: by 1.1e-13 after 200000 iterations of a degenerate
@@ -65,6 +66,43 @@ rescale that follows cancels each exactly. The term a step keeps is
 fixed by its starting marginals (C2 o C2 nu, C1 o C1 mu) and computed
 once; only the first row step, from P0, sums P0's columns.
 
+The structure product C1 X C2^T has a second form for large problems
+whose costs are mostly 1. Write C1 = J + E1 and C2 = J + E2, with J all
+ones, p = X 1 and q = X^T 1:
+
+    C1 X C2^T = (1^T X 1) J + 1 (E2 q)^T + (E1 p) 1^T + E1 X E2^T.
+
+A row step cancels the terms constant along a row, and its q is nu (P0's
+column sums at iteration 1), so -2 step 1 (E2 q)^T is fixed and joins the
+row step's fixed term; a column step likewise keeps (E1 mu) 1^T. With
+C o C = J + 2 E + E o E, the fixed terms come out as the dense form's with
+E in place of C, up to constants along the rescaled axis: the squared loss
+sees only differences, L(C1, C2) = L(E1, E2), so the sparse form is the
+same solve on E1 = C1 - 1 and E2 = C2 - 1. Its shift bound is
+2 |step| max|E1| max|E2|, and the exponent still stays at most 0. The
+costs are exp(-A / tau), and exp(-0) = 1 exactly, so E is nonzero only
+where the adjacency A is. The sparse form holds E1 and E2 as block-
+diagonal CSR matrices and forms X E2^T as (E2 X^T)^T, copying X^T and the
+product back through the scratch stack: its two products take
+2 (nnz(E1) m + nnz(E2) n) FLOPs per half-step, against 2 n m (n + m).
+Plans match the dense form's to rounding: on the distance benchmark's 48
+pairs at seeds 8101, 8102 and 4242, within 2.4e-16, with the same
+iteration counts and status codes.
+
+sparse_structure picks the sparse form when n + m is at least
+SPARSE_MIN_SIZE = 210 and its FLOPs are at most SPARSE_MAX_SHARE = 0.08 of
+the dense form's. Measured as whole-solve times, sparse over dense, on
+random undirected graphs with n = m and edge share s (so the FLOP share
+is s), one BLAS thread, a 2-core AVX-512 VM: at n = 100, 0.96 for
+s = 0.03 and 1.09-1.13 for s = 0.05-0.09; at n = 120, 0.74, 0.90 and 0.99
+for s = 0.03, 0.07 and 0.09; at n = 150, 0.61-0.86 for s = 0.03-0.09 and
+1.10 for 0.15; at n = 200 and 300, 0.94 and 1.01 for s = 0.1. On the
+distance benchmark's pairs (m = 0.85 n, mean degree 6.3-7.5) the dense
+and sparse solves took 11.5 and 11.9 ms at n = 100 (n + m = 185), 18.8 and
+15.8 ms at n = 120, and 68.3 and 40.6 ms at n = 200. Training stacks, with
+blocks of k <= 30 nodes, stay far below the size rule and run the dense
+form unchanged.
+
 Status codes returned by the bapg kernels: 0 converged, 1 hit the
 iteration cap, 2 non-finite values, 3 stationary with a row residual
 above eps. The row residual max_i |(P 1)_i - mu_i| is measured once,
@@ -85,6 +123,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 
 STATUS_CONVERGED = 0
@@ -98,6 +137,11 @@ TINY = np.finfo(np.float64).tiny
 # redoes the exp after a shift by the exact max: a sum above it leaves
 # that row (column) an entry above SUM_FLOOR / m, far from subnormal
 SUM_FLOOR = 1e-280
+# the sparse form of the structure product runs when n + m is at least
+# SPARSE_MIN_SIZE and its FLOPs are at most SPARSE_MAX_SHARE of the dense
+# form's (see the module docstring for the measurements behind both)
+SPARSE_MIN_SIZE = 210
+SPARSE_MAX_SHARE = 0.08
 
 
 def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
@@ -112,6 +156,30 @@ def tensor_product_numpy(C1: np.ndarray, C2: np.ndarray,
         C2, -1, -2)
 
 
+def sparse_structure(C1, C2) -> bool:
+    """Whether the structure costs C1 (B, n, n) and C2 (B, m, m) take the
+    sparse form of the structure product: n + m is at least
+    SPARSE_MIN_SIZE, and its products, 2 (nnz(E1) m + nnz(E2) n) FLOPs with
+    Ek = Ck - 1, take at most SPARSE_MAX_SHARE of the dense form's
+    2 B n m (n + m)."""
+    B, n, _ = C1.shape
+    m = C2.shape[-1]
+    if n + m < SPARSE_MIN_SIZE:
+        return False
+    flops = np.count_nonzero(C1 != 1.0) * m + np.count_nonzero(C2 != 1.0) * n
+    return flops <= SPARSE_MAX_SHARE * B * n * m * (n + m)
+
+
+def _block_diagonal(E):
+    """The (B, k, k) stack E as one (B k, B k) CSR matrix with the blocks
+    on its diagonal."""
+    B, k, _ = E.shape
+    flat = E.reshape(B * k, k)
+    rows, cols = np.nonzero(flat)
+    return sp.csr_array((flat[rows, cols], (rows, cols + rows // k * k)),
+                        shape=(B * k, B * k))
+
+
 def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     """BAPG over a stack: M and P0 are (B, n, m), C1 (B, n, n), C2
     (B, m, m), mu (B, n) and nu (B, m). Returns plans (B, n, m), and the
@@ -120,6 +188,7 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
 
     Every problem runs the iteration it would run alone and stops on its
     own Frobenius change; the stack keeps all B problems until none runs.
+    sparse_structure(C1, C2) picks the form of the structure product.
     """
     B, n, m = M.shape
     plans = np.empty(M.shape)
@@ -143,11 +212,13 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
 
     def half_step(X, out, fixed, axis, marginal, S, out_rows=None):
         """One Bregman projection from the plan X into `out` (which may be
-        X): logP -= G with G = C1m2 X C2T + fixed, then rescale along `axis`
-        (2: rows to mu, 1: columns to nu), which cancels G's omitted term,
-        and flush the entries below TINY. At alpha = 1 the step is 0, so
-        C1m2 X C2T is +-0 and G is `fixed`: the two products are skipped
-        (a non-finite C1 or C2 still makes gw_bound, and so `fixed`, NaN).
+        X): logP -= G with G = C1m2 X C2T + fixed (in the sparse form,
+        C1m2 X E2^T on the block-diagonal CSR C1m2 and E2), then rescale
+        along `axis` (2: rows to mu, 1: columns to nu), which cancels G's
+        omitted term, and flush the entries below TINY. At alpha = 1 the
+        step is 0, so C1m2 X C2T is +-0 and G is `fixed`: the two products
+        are skipped (a non-finite C1 or C2 still makes gw_bound, and so
+        `fixed`, NaN), and so is the sparse form.
         `fixed` carries the solve's per-axis shift, so logP comes out at
         most 0; a sum below SUM_FLOOR or not finite redoes the exp after a
         shift by the exact max. S is the (B, n, 1) or (B, 1, m) work stack
@@ -155,7 +226,13 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         For a row step, out_rows is `out` viewed as (B n, m).
         Outputs are passed by position: the out= keyword costs ~0.07 us a
         call, and a small solve is mostly per-call cost."""
-        if step:
+        if sparse:
+            # X E2^T as (E2 X^T)^T per block, both transposes through T
+            np.copyto(T_mn, np.swapaxes(X, 1, 2))
+            np.copyto(T, np.swapaxes((E2 @ T_mn_rows).reshape(B, m, n), 1, 2))
+            np.add((C1m2 @ T_rows).reshape(B, n, m), fixed, G)
+            np.subtract(logP, G, logP)
+        elif step:
             np.matmul(C1m2, X, T)
             np.matmul(T, C2T, G)
             np.add(G, fixed, G)
@@ -201,8 +278,15 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         # (mu) or a column (nu)
         aM = alpha * M / beta
         step = 2.0 * (1.0 - alpha) / beta
+        sparse = bool(step) and sparse_structure(C1, C2)
+        if sparse:
+            # L(C1, C2) = L(C1 - 1, C2 - 1): the solve runs on E = C - 1
+            C1, C2 = C1 - 1.0, C2 - 1.0
         C1m2, C2sq = (-2.0 * step) * C1, step * (C2 * C2)
-        C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
+        if sparse:
+            C1m2, E2 = _block_diagonal(C1m2), _block_diagonal(C2)
+        else:
+            C2T = np.ascontiguousarray(np.swapaxes(C2, 1, 2))
         # |C1m2 X C2T| <= 2 |step| max|C1| max|C2| sum(X), per problem
         gw_bound = (2.0 * abs(step)) * (
             np.maximum(C1.max(axis=(1, 2)), -C1.min(axis=(1, 2)))
@@ -217,6 +301,8 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
         rows, cols = np.empty((B, n, 1)), np.empty((B, 1, m))
         T_flat, sq = T.reshape(B, -1), np.empty(B)
+        T_rows, T_mn = T.reshape(-1, m), T.reshape(B, m, n)
+        T_mn_rows = T.reshape(-1, n)
         P_rows, Q_rows, rows_flat = (P.reshape(-1, m), Q.reshape(-1, m),
                                      rows.reshape(-1))
         # a row step starts from columns summing to nu and a column step

@@ -54,12 +54,15 @@ class FgwConfig:
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)):
-            raise ValueError(f"max_iters must be an integer, "
-                             f"got {self.max_iters!r}")
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

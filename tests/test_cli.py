@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fgwcl import cli
+from fgwcl import ot
 from fgwcl.graph import CsbmParams, generate_csbm, make_graph, save_graph
 from fgwcl.kernels import STATUS_CONVERGED
 
@@ -215,6 +216,30 @@ class TestDistance:
         rc = cli.main(["distance", *a, *b, "--alpha", "0.5"])
         assert rc == 1
         assert "feature dimensions differ" in capsys.readouterr().err
+
+    def test_seed_reaches_the_initial_plan(self, tmp_path, capsys):
+        # an 8-cycle against itself: the seeded jitter on the initial plan
+        # breaks the symmetric stationary point, so the value depends on
+        # the seed, given as --seed or as the --config seed
+        edges = [(i, (i + 1) % 8) for i in range(8)]
+        x = np.linspace(-1.0, 1.0, 16).reshape(8, 2)
+        pair = (self.write_pair(tmp_path, "a", edges, x)
+                + self.write_pair(tmp_path, "b", edges, x))
+        config = tmp_path / "seed5.json"
+        config.write_text(json.dumps({"seed": 5}))
+        values = {}
+        for name, flags in [("0", ["--seed", "0"]), ("5", ["--seed", "5"]),
+                            ("config", ["--config", str(config)])]:
+            assert cli.main(["distance", *pair, "--alpha", "0.5",
+                             *flags]) == 0
+            values[name] = json.loads(capsys.readouterr().out)["value"]
+        g = make_graph(edges, x)
+        A = g.adjacency.toarray()
+        expected = ot.bapg_fgwd(ot.build_cost_matrices(A, A, g.x, g.x, 1.0),
+                                np.full(8, 0.125), np.full(8, 0.125),
+                                ot.FgwConfig(alpha=0.5, seed=5)).objective
+        assert values["5"] == values["config"] == expected
+        assert values["0"] != values["5"]
 
     def test_non_finite_tolerance_fails(self, tmp_path, capsys):
         a = self.write_pair(tmp_path, "a", [(0, 1)], [[0.5], [0.1]])

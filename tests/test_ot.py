@@ -2,6 +2,7 @@
 endpoints against assignment/grid oracles, feasibility and stability."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgwcl import autodiff as ad
-from fgwcl import ot
-from fgwcl.kernels import (STATUS_CONVERGED, STATUS_MAX_ITERS,
-                           STATUS_NON_FINITE, STATUS_STATIONARY_INFEASIBLE,
-                           bapg_batch_numpy, get_backend)
+from fgwcl import kernels, ot
+from fgwcl.kernels import (SPARSE_MIN_SIZE, STATUS_CONVERGED,
+                           STATUS_MAX_ITERS, STATUS_NON_FINITE,
+                           STATUS_STATIONARY_INFEASIBLE, bapg_batch_numpy,
+                           get_backend, sparse_structure)
 from conftest import check_grad
 import oracles
 
@@ -372,6 +374,15 @@ class TestConfig:
     def test_non_integer_max_iters_rejected(self, value):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             ot.FgwConfig(alpha=0.5, max_iters=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, True, "1"])
+    def test_non_integer_seed_rejected(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ot.FgwConfig(alpha=0.5, seed=value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ot.FgwConfig(alpha=0.5, seed=-1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_marginal_rejected(self, rng, value):
@@ -737,6 +748,146 @@ class TestBapgBatch:
         assert np.array_equal(plans[-1].P, plans.P[3])
         with pytest.raises(IndexError):
             plans[4]
+
+
+def graph_costs(rng, n, degree, weighted, tau=1.0):
+    """exp(-A / tau) of a random undirected graph on n nodes with mean
+    degree about `degree`; edge weights are 1, or uniform on [0.5, 2]."""
+    A = np.triu(rng.random((n, n)) < degree / n, 1).astype(float)
+    if weighted:
+        A *= rng.uniform(0.5, 2.0, (n, n))
+    return np.exp(-(A + A.T) / tau)
+
+
+def pair_problem(rng, C1, C2, cfg):
+    """One (n, m) problem on the structure costs C1 and C2 with a random
+    feature cost, as the kernel's positional arguments."""
+    n, m = len(C1), len(C2)
+    H1, H2 = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+    mu, nu = uniform(n)[None], uniform(m)[None]
+    return (np.exp(-H1 @ H2.T / 2.0)[None], C1[None], C2[None], mu, nu,
+            cfg.alpha, cfg.beta, cfg.max_iters, cfg.tol,
+            ot.initial_plan(mu, nu, cfg))
+
+
+def in_form(args, sparse):
+    """The kernel's results in the given form of the structure product,
+    forced through the selection's constants, with every warning an
+    error."""
+    rule = (0, math.inf) if sparse else (math.inf, 0.0)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(kernels, "SPARSE_MIN_SIZE", rule[0])
+        patch.setattr(kernels, "SPARSE_MAX_SHARE", rule[1])
+        warnings.simplefilter("error")
+        return bapg_batch_numpy(*args)
+
+
+def both_forms(args):
+    return in_form(args, False), in_form(args, True)
+
+
+def assert_forms_agree(dense, sparse):
+    (P, it, code, res), (P_s, it_s, code_s, res_s) = dense, sparse
+    assert it_s.tolist() == it.tolist()
+    assert code_s.tolist() == code.tolist()
+    assert_allclose(P_s, P, rtol=0, atol=1e-12)
+    assert_allclose(res_s, res, rtol=0, atol=1e-12)
+
+
+class TestSparseStructure:
+    """The sparse form of the structure product, E1 X E2^T with
+    Ek = Ck - 1, against the dense form C1 X C2^T."""
+
+    @pytest.mark.parametrize("beta", [0.1, 5.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["binary", "weighted"])
+    @pytest.mark.parametrize("n,m", [(60, 51), (120, 102), (200, 170)])
+    def test_forms_agree(self, rng, n, m, weighted, alpha, beta):
+        cfg = ot.FgwConfig(alpha=alpha, beta=beta)
+        args = pair_problem(rng, graph_costs(rng, n, 7, weighted),
+                            graph_costs(rng, m, 7, weighted), cfg)
+        dense, sparse = both_forms(args)
+        assert_forms_agree(dense, sparse)
+        P, _, code, _ = sparse
+        assert np.isfinite(P).all() and STATUS_NON_FINITE not in code
+        M, C1, C2 = args[:3]
+        assert_allclose(ot.fgw_value(M, C1, C2, P, alpha),
+                        ot.fgw_value(M, C1, C2, dense[0], alpha),
+                        rtol=1e-12, atol=0)
+
+    def test_stack_of_pairs(self, rng):
+        # the sparse form stacks its blocks on one block diagonal; each
+        # problem still runs as it would alone
+        cfg = ot.FgwConfig(alpha=0.5, beta=0.1)
+        problems = [pair_problem(rng, graph_costs(rng, 40, 5, True),
+                                 graph_costs(rng, 30, 5, False), cfg)
+                    for _ in range(3)]
+        stack = tuple(np.concatenate(parts) if isinstance(parts[0],
+                                                          np.ndarray)
+                      else parts[0] for parts in zip(*problems))
+        stacked = both_forms(stack)
+        assert_forms_agree(*stacked)
+        for b, args in enumerate(problems):
+            _, solo = both_forms(args)
+            assert_allclose(stacked[1][0][b], solo[0][0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["no-edges", "self-loops", "isolated",
+                                      "directed"])
+    def test_edge_cases(self, rng, case):
+        C1 = graph_costs(rng, 50, 6, True)
+        C2 = graph_costs(rng, 40, 6, False)
+        if case == "no-edges":
+            C1 = np.ones((50, 50))  # E1 = 0, so the product is 0
+        elif case == "self-loops":
+            np.fill_diagonal(C1, np.exp(-1.5))
+            np.fill_diagonal(C2, np.exp(-1.0))
+        elif case == "isolated":
+            C1[7], C1[:, 7] = 1.0, 1.0
+            C2[0], C2[:, 0] = 1.0, 1.0
+        else:  # edges above the diagonal of C1, below it in C2
+            below = np.tri(50, k=-1, dtype=bool)
+            C1 = np.where(below, 1.0, C1)
+            C2 = np.where(below[:40, :40].T, 1.0, C2)
+        args = pair_problem(rng, C1, C2, ot.FgwConfig(alpha=0.3, beta=0.1))
+        assert_forms_agree(*both_forms(args))
+
+    def test_selection(self, rng):
+        # training stacks of k x k blocks are far below the size rule,
+        # however sparse their subgraphs are
+        for k in (4, 10, 12, 30):
+            C = np.ones((16, k, k))
+            assert not sparse_structure(C, C)
+        big = graph_costs(rng, 200, 7, False)[None]
+        assert sparse_structure(big, graph_costs(rng, 170, 7, True)[None])
+        # a generated view's costs are dense: every entry differs from 1
+        view = np.exp(-rng.random((1, 200, 200)))
+        assert not sparse_structure(big, view)
+        assert not sparse_structure(view, big)
+        # the size rule is on n + m, the sparse product's share of the
+        # dense product's FLOPs on both graphs' nonzeros
+        half = SPARSE_MIN_SIZE // 2
+        assert not sparse_structure(np.ones((1, half - 1, half - 1)),
+                                    np.ones((1, half, half)))
+        assert sparse_structure(np.ones((1, half, half)),
+                                np.ones((1, half, half)))
+        C1, C2 = np.ones((2, 1, 150, 150))
+        C1[0, :15] = C2[0, :, :15] = 0.5  # a tenth of E1 and of E2
+        assert not sparse_structure(C1, C2)
+        C2[:] = 1.0  # a twentieth of the FLOPs
+        assert sparse_structure(C1, C2)
+
+    def test_kernel_takes_the_selected_form(self, rng):
+        cfg = ot.FgwConfig(alpha=0.5, beta=0.1, max_iters=20)
+        small = pair_problem(rng, graph_costs(rng, 12, 3, False),
+                             graph_costs(rng, 12, 3, False), cfg)
+        large = pair_problem(rng, graph_costs(rng, 140, 7, False),
+                             graph_costs(rng, 119, 7, False), cfg)
+        for args, form in ((small, False), (large, True)):
+            chosen = bapg_batch_numpy(*args)
+            forced = in_form(args, form)
+            for a, b in zip(chosen, forced):
+                assert np.array_equal(a, b)
 
 
 class TestObjectiveTape:
