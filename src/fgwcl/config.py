@@ -33,6 +33,14 @@ _SEARCH_RANGES = {
 }
 
 
+def check_integers(**counts) -> None:
+    """Raise a ValueError naming the first count that is not an integer:
+    NaN, inf and 2.5 pass range checks, and a bool is not a count."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
@@ -60,11 +68,7 @@ class TrainConfig:
     range_checked: bool = False
 
     def __post_init__(self):
-        for name in _INT_FIELDS:  # NaN, inf and 2.5 would pass the < checks
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(**{name: getattr(self, name) for name in _INT_FIELDS})
 
         def positive(name):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
@@ -132,14 +136,9 @@ def parse_config(raw: dict) -> TrainConfig:
         if key in _BOOL_FIELDS:
             if not isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be a boolean")
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                if (isinstance(value, float)
-                        and float(value).is_integer()):
-                    value = int(value)
-                else:
-                    raise ValueError(f"config key {key!r} must be an "
-                                     f"integer, got {value!r}")
+        elif key in _INT_FIELDS:  # TrainConfig rejects other non-integers
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
         elif key in _FLOAT_FIELDS and (isinstance(value, bool) or
                                        not isinstance(value, (int, float))):
             raise ValueError(f"config key {key!r} must be a number, "

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, check_integers
 from .evaluate import embed, linear_probe
 from .graph import CsbmParams, Graph, generate_csbm, make_splits
 from .model import prepare_graph
@@ -36,6 +36,7 @@ def sweep_alpha(cfg: TrainConfig, g: Graph, grid: Sequence[float], out_dir,
         raise ValueError("alpha grid values must lie in [0, 1]")
     if g.labels is None:
         raise ValueError("the sweep needs labels to probe accuracy")
+    check_integers(seeds=seeds)
     if seeds < 1:
         raise ValueError("need at least one seed per alpha")
     out = Path(out_dir)
@@ -84,6 +85,7 @@ def bench_timing(sizes: Sequence[int], cfg: TrainConfig, out_dir,
     cfg.seed seeds both the generated graphs and training. Warm-up epochs
     (allocator effects) are excluded from the means.
     """
+    check_integers(iters=iters, warmup=warmup)
     if iters < 1 or warmup < 0:
         raise ValueError("need iters >= 1 and warmup >= 0")
     out = Path(out_dir)

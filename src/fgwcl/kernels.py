@@ -15,8 +15,8 @@ ICLR 2023).
 Any per-row (per-column) shift of logP before the exp gives the same
 plan, so each half-step shifts by a constant computed once per solve and
 folded into its fixed cost term: the row's (column's) smallest fixed
-cost, less a bound on the structure term, 2 |step| max|C1| max|C2|.
-For plans of mass at most 1, whose entries are at most 1, the shifted
+cost, less a bound on the structure term, 2 |step| max|C1| max|C2|. For
+plans of mass at most 1, whose entries are at most 1, the shifted
 exponent is at most 0, so exp cannot overflow, and no short-axis max
 reduction runs per iteration. When some row (column) of the exp sums
 below SUM_FLOOR or not to a finite value, the half-step redoes the exp
@@ -25,25 +25,32 @@ after a shift by the exact max along that axis, which leaves every row
 epoch-0 stack takes that path in all 30 of its column half-steps and in
 none of its row half-steps; the v2 stack, in none of its 40 half-steps,
 and the distance benchmark's 16 solves, in the dense form and in the
-sparse one, in none of their 1600. The
-folded constant is rounded once and subtracted every iteration, so over
-very long solves the plans drift from those of an exact-max shift at
-each half-step: by 1.1e-13 after 200000 iterations of a degenerate
-5 x 5 problem, and by less than 1e-15 on the training and distance
-stacks measured (20 to 50 iterations). The plan is the exp times
-marginal / sum, and logP the shifted values plus the log
-of that factor. Row and column sums, and the squared Frobenius change,
-are BLAS matrix-vector products over the whole stack, not numpy
-reductions over short axes. Work stacks, the per-axis sums and scales
-among them, are allocated once and reused across iterations. After the
-first iteration nothing reads alpha M / beta or C2 o C2 again: the
-row term that iteration fixes is written into the former's buffer and
-the latter is released, so the loop holds two fewer stacks.
-Each iteration first tests only the smallest squared change: when its
-root is above eps, every problem is finite and none has converged. The
-stack keeps its size for the whole solve: a problem that stops has its
-plan stored and goes on iterating with the rest, unrecorded, until no
-problem is running, so no array is ever sliced or rebound.
+sparse one, in none of their 1600. The folded constant is rounded once
+and subtracted every iteration, so over very long solves the plans drift
+from those of an exact-max shift at each half-step: by 1.1e-13 after
+200000 iterations of a degenerate 5 x 5 problem, and by less than 1e-15
+on the training and distance stacks measured (20 to 50 iterations). The
+plan is the exp times marginal / sum, and logP the shifted values plus
+the log of that factor. Row and column sums are BLAS matrix-vector
+products over the whole stack, not numpy reductions over short axes.
+
+Elementwise passes cost what the memory they touch costs: a subtract
+into a third stack takes 18 us at (1, 200, 170), in place 9.5 us (123
+and 41 us at (900, 12, 12); one BLAS thread, 2-core AVX-512 VM). So the
+loop holds only the returned plans, P, the next plan, logP, a scratch
+stack T, the fixed terms and C1m2 and C2T (or their CSR matrices). A
+half-step forms its gradient in the plan it writes, before the exp
+overwrites it, and the Frobenius change goes into the retired plan P,
+whose squared norm per problem is one batched dot: 16 us at
+(1, 200, 170) and 68 us at (900, 12, 12), against 37 and 160 us for a
+difference into T, a square and a product with ones. The setup fixes
+both row terms and releases C2 o C2: a (900, 12, 12) solve peaks at 10.3
+stacks of traced memory, against 12.35 before. Each iteration first
+tests only the smallest squared change: when its root is above eps,
+every problem is finite and none has converged. The stack keeps its size
+for the whole solve: a problem that stops has its plan stored and goes
+on iterating with the rest, unrecorded, until no problem is running, so
+no array is ever sliced or rebound.
 
 No plan entry is subnormal: each half-step sets the entries below the
 smallest normal double (TINY, about 2.2e-308) to exactly 0 after its
@@ -195,56 +202,56 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
     iters = np.full(B, max_iters, dtype=np.int64)
     status = np.full(B, STATUS_MAX_ITERS, dtype=np.int64)
     running = np.ones(B, dtype=bool)
-    ones_n, ones_m, ones_nm = np.ones((1, n)), np.ones(m), np.ones(n * m)
+    ones_n, ones_m = np.ones((1, n)), np.ones(m)
     least, most = np.minimum.reduce, np.maximum.reduce
 
     def col_term(q):
         """(C2sq q)^T for a (B, 1, m) stack of column sums q."""
         return (C2sq @ q.reshape(-1, m, 1)).reshape(-1, 1, m)
 
-    def exp_sums(out, axis, S, out_rows):
+    def exp_sums(out, axis, S):
         """exp(logP) into `out`, and its sums along `axis` into S."""
         np.exp(logP, out)
         if axis == 2:
-            np.matmul(out_rows, ones_m, rows_flat)
+            np.matmul(out.reshape(-1, m), ones_m, rows_flat)
         else:
             np.matmul(ones_n, out, S)
 
-    def half_step(X, out, fixed, axis, marginal, S, out_rows=None):
+    def half_step(X, out, fixed, axis, marginal, S):
         """One Bregman projection from the plan X into `out` (which may be
-        X): logP -= G with G = C1m2 X C2T + fixed (in the sparse form,
-        C1m2 X E2^T on the block-diagonal CSR C1m2 and E2), then rescale
-        along `axis` (2: rows to mu, 1: columns to nu), which cancels G's
-        omitted term, and flush the entries below TINY. At alpha = 1 the
-        step is 0, so C1m2 X C2T is +-0 and G is `fixed`: the two products
-        are skipped (a non-finite C1 or C2 still makes gw_bound, and so
-        `fixed`, NaN), and so is the sparse form.
+        X): logP -= G with G = C1m2 X C2T + fixed formed in `out` (in the
+        sparse form, C1m2 X E2^T on the block-diagonal CSR C1m2 and E2,
+        in the product scipy returns), then rescale along `axis` (2: rows
+        to mu, 1: columns to nu), which cancels G's omitted term, and
+        flush the entries below TINY. At alpha = 1 the step is 0, so
+        C1m2 X C2T is +-0 and G is `fixed`: the products are skipped (a
+        non-finite C1 or C2 still makes gw_bound, and so `fixed`, NaN).
         `fixed` carries the solve's per-axis shift, so logP comes out at
         most 0; a sum below SUM_FLOOR or not finite redoes the exp after a
         shift by the exact max. S is the (B, n, 1) or (B, 1, m) work stack
         of the axis: the sums (on a redo, first the max), then the scale.
-        For a row step, out_rows is `out` viewed as (B n, m).
         Outputs are passed by position: the out= keyword costs ~0.07 us a
         call, and a small solve is mostly per-call cost."""
         if sparse:
             # X E2^T as (E2 X^T)^T per block, both transposes through T
             np.copyto(T_mn, np.swapaxes(X, 1, 2))
             np.copyto(T, np.swapaxes((E2 @ T_mn_rows).reshape(B, m, n), 1, 2))
-            np.add((C1m2 @ T_rows).reshape(B, n, m), fixed, G)
-            np.subtract(logP, G, logP)
+            G = (C1m2 @ T_rows).reshape(B, n, m)
+            np.subtract(logP, np.add(G, fixed, G), logP)
         elif step:
+            # X is not read after C1m2 X, so G goes into `out`
             np.matmul(C1m2, X, T)
-            np.matmul(T, C2T, G)
-            np.add(G, fixed, G)
-            np.subtract(logP, G, logP)
+            np.matmul(T, C2T, out)
+            np.add(out, fixed, out)
+            np.subtract(logP, out, logP)
         else:
             np.subtract(logP, fixed, logP)
-        exp_sums(out, axis, S, out_rows)
+        exp_sums(out, axis, S)
         # NaN fails the first test, inf the second
         if not (least(S, None) >= SUM_FLOOR and most(S, None) < math.inf):
             most(logP, axis, None, S, True)
             np.subtract(logP, S, logP)
-            exp_sums(out, axis, S, out_rows)
+            exp_sums(out, axis, S)
         np.divide(marginal, S, S)
         np.multiply(out, S, out)
         np.log(S, S)
@@ -296,31 +303,27 @@ def bapg_batch_numpy(M, C1, C2, mu, nu, alpha, beta, max_iters, eps, P0):
         nu = np.asarray(nu, dtype=np.float64)[:, None, :]
         P = np.array(P0, dtype=np.float64)
         logP = np.log(P)
-        # work stacks: the next iterate, the gradient, a scratch product,
-        # the row and column work stacks and the squared Frobenius changes
-        Q, G, T = np.empty_like(P), np.empty_like(P), np.empty_like(P)
-        rows, cols = np.empty((B, n, 1)), np.empty((B, 1, m))
-        T_flat, sq = T.reshape(B, -1), np.empty(B)
-        T_rows, T_mn = T.reshape(-1, m), T.reshape(B, m, n)
-        T_mn_rows = T.reshape(-1, n)
-        P_rows, Q_rows, rows_flat = (P.reshape(-1, m), Q.reshape(-1, m),
-                                     rows.reshape(-1))
         # a row step starts from columns summing to nu and a column step
-        # from rows summing to mu, which fixes the terms they keep; only
-        # the first row step starts from P0, whose columns are not nu
-        row_fixed = shifted(aM + col_term(ones_n @ P), 2)
+        # from rows summing to mu, which fixes their terms; only the first
+        # row step starts from P0. Neither aM nor C2sq reaches the loop
+        row_term = shifted(aM + col_term(ones_n @ P), 2)
         col_fixed = shifted(aM + (step * (C1 * C1)) @ mu, 1)
+        row_fixed = shifted(np.add(aM, col_term(nu), aM), 2)
+        aM = C2sq = None
+        # the next iterate, scratch, per-axis stacks and squared changes
+        Q, T = np.empty_like(P), np.empty_like(P)
+        rows, cols, sq = np.empty((B, n, 1)), np.empty((B, 1, m)), np.empty(B)
+        T_rows, T_mn = T.reshape(-1, m), T.reshape(B, m, n)
+        T_mn_rows, rows_flat = T.reshape(-1, n), rows.reshape(-1)
         for it in range(1, max_iters + 1):
-            half_step(P, Q, row_fixed, 2, mu, rows, Q_rows)
+            half_step(P, Q, row_term, 2, mu, rows)
             half_step(Q, Q, col_fixed, 1, nu, cols)
-            if it == 1:
-                # into aM's buffer: neither aM nor C2sq is read again
-                row_fixed = shifted(np.add(aM, col_term(nu), aM), 2)
-                aM = C2sq = None
-            np.subtract(Q, P, T)
-            np.multiply(T, T, T)
-            np.matmul(T_flat, ones_nm, sq)
-            P, Q, P_rows, Q_rows = Q, P, Q_rows, P_rows
+            row_term = row_fixed
+            # P is not read again: it takes the change, negated
+            np.subtract(P, Q, P)
+            np.matmul(P.reshape(B, 1, -1), P.reshape(B, -1, 1),
+                      sq.reshape(B, 1, 1))
+            P, Q = Q, P
             # sqrt is monotone and correctly rounded, and min propagates
             # NaN: this holds exactly when every delta below is finite and
             # above eps, so that there is nothing to record

@@ -21,7 +21,6 @@ Solomon, 2016); a stack's solve computes no objective of its own.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _lift
+from .config import check_integers
 from .kernels import STATUS_NON_FINITE, KernelBackend, get_backend
 from .kernels import tensor_product_numpy as tensor_product
 
@@ -54,11 +54,7 @@ class FgwConfig:
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
-        for name in ("max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(max_iters=self.max_iters, seed=self.seed)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:

@@ -69,6 +69,29 @@ def test_cold_start_block_of_this_checkout():
     assert block["runs"] == 1
 
 
+def test_cold_start_is_measured_only_with_tier1(tmp_path, monkeypatch):
+    recorder = _recorder()
+
+    def no_cold_start(tree):
+        raise AssertionError("cold start measured without --tier1")
+
+    monkeypatch.setattr(recorder, "cold_start", no_cold_start)
+    out = tmp_path / "BENCH_0.json"
+    assert recorder.main(["--out", str(out), "--label", "change"]) == 0
+    rec = recorder.record_of(out, "change")
+    assert rec["runs"] == [] and "cold_start" not in rec
+    block = {"runs": 1, "import_s": {"median": 0.2, "q1": 0.2, "q3": 0.2,
+                                     "unit": "s"}}
+    monkeypatch.setattr(recorder, "cold_start", lambda tree: block)
+    tier1 = tmp_path / "tier1.txt"
+    tier1.write_text("1 failed, 448 passed, 1 skipped in 47.30s\n")
+    assert recorder.main(["--out", str(out), "--label", "change",
+                          "--tier1", str(tier1)]) == 0
+    rec = recorder.record_of(out, "change")
+    assert rec["cold_start"] == block
+    assert rec["tier1"]["wall_s"] == 47.30
+
+
 def test_tier1_summary_is_parsed_from_pytest_output():
     text = "\n".join([
         "=== slowest 10 durations ===",

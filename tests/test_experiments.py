@@ -50,6 +50,13 @@ class TestSweep:
             sweep_alpha(tiny_cfg(), tiny_graph(), [0.5], tmp_path, seeds=0)
         assert not (tmp_path / "sweep.json").exists()
 
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, True, "2"])
+    def test_non_integer_seeds_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            sweep_alpha(tiny_cfg(), tiny_graph(), [0.5], tmp_path,
+                        seeds=value)
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_needs_labels(self, tmp_path, rng):
         from fgwcl.graph import make_graph
         g = make_graph([(0, 1)], rng.standard_normal((4, 6)))
@@ -88,3 +95,10 @@ class TestBench:
     def test_bad_iteration_counts_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="iters"):
             bench_timing([50], tiny_cfg(), tmp_path, iters=0)
+
+    @pytest.mark.parametrize("name", ["iters", "warmup"])
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, True, "2"])
+    def test_non_integer_counts_rejected(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            bench_timing([50], tiny_cfg(), tmp_path, **{name: value})
+        assert not (tmp_path / "bench.json").exists()

@@ -3,6 +3,7 @@ endpoints against assignment/grid oracles, feasibility and stability."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -646,6 +647,43 @@ class TestBapgBatch:
         for a, b, c in zip(second, kept, first):
             assert np.array_equal(a, b, equal_nan=True)
             assert (c == -1).all()
+
+    @pytest.mark.parametrize("shape,stacks", [
+        ((900, 12, 12), 10.5), ((1, 200, 170), 11.6)],
+        ids=["dense-900-12-12", "sparse-200-170"])
+    def test_working_set(self, rng, shape, stacks):
+        # peak traced bytes of a solve, in (B, n, m) stacks. The dense
+        # form holds the returned plans, the two fixed terms, P, the next
+        # plan, logP, the scratch stack, C1m2 and C2T, and in the first
+        # iteration the first row step's term: 10 of them at n = m, plus
+        # the flush's mask and short work arrays (10.33 measured). The
+        # sparse form holds the products scipy allocates and its CSR
+        # matrices in place of C1m2 and C2T (11.48 measured). A gradient
+        # stack of its own, or C2 o C2 kept into the loop, adds one stack
+        # to either (12.35 and 14.09 with both)
+        B, n, m = shape
+        if B == 1:
+            args = pair_problem(rng, graph_costs(rng, n, 7, False),
+                                graph_costs(rng, m, 7, False),
+                                ot.FgwConfig(alpha=0.5, beta=0.1,
+                                             max_iters=20))
+            assert sparse_structure(*args[1:3])
+        else:
+            M, C1, C2 = rng.random(shape), rng.random((B, n, n)), rng.random(
+                (B, m, m))
+            mu, nu = np.full((B, n), 1 / n), np.full((B, m), 1 / m)
+            cfg = ot.FgwConfig(alpha=0.5, beta=5.0, max_iters=20)
+            args = (M, np.exp(-C1), np.exp(-C2), mu, nu, cfg.alpha, cfg.beta,
+                    cfg.max_iters, cfg.tol, ot.initial_plan(mu, nu, cfg))
+            assert not sparse_structure(*args[1:3])
+        bapg_batch_numpy(*args)
+        tracemalloc.start()
+        try:
+            bapg_batch_numpy(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (B * n * m * 8) < stacks
 
     def test_overflow_in_batch_raises_with_iteration(self, rng):
         M, C1, C2, mu, nu = self._stack(rng, 3, 3, 3)

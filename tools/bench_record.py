@@ -27,10 +27,11 @@ A record holds, next to its runs:
   threads the runs used;
 - with --tier1, the wall time, outcome and ten slowest tests of a saved
   `pytest --durations=10` run of the tier-1 suite;
-- `cold_start`, measured on every call: the wall time of `import
-  fgwcl.cli` from the checkout's `src/` in 7 fresh interpreters with
-  BLAS at 1 thread (median and quartiles), the median ru_maxrss after
-  the import, and the sorted `scipy.*` modules the import loaded.
+- `cold_start`, measured only on a call that passes --tier1 (made once
+  per record): the wall time of `import fgwcl.cli` from the checkout's
+  `src/` in 7 fresh interpreters with BLAS at 1 thread (median and
+  quartiles), the median ru_maxrss after the import, and the sorted
+  `scipy.*` modules the import loaded.
 
 Every metric keeps the unit the benchmark reports with it. Traced
 metrics known to measure something other than their name says are
@@ -360,7 +361,8 @@ def main(argv=None) -> int:
                 print(json.dumps({k: run[k] for k in (
                     "workload", "seed", "trace", "correct")}), flush=True)
                 runs.append(run)
-    record(out, args.label, tree, runs, info, tier1, cold_start(tree))
+    record(out, args.label, tree, runs, info, tier1,
+           cold_start(tree) if tier1 is not None else None)
     return 0
 
 
