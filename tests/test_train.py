@@ -12,10 +12,10 @@ from fgwcl import train as train_module
 from fgwcl.kernels import STATUS_NON_FINITE, KernelBackend, get_backend
 from fgwcl.losses import batch_indices
 from fgwcl.model import load_checkpoint, prepare_graph
-from fgwcl.optim import zero_grads
-from fgwcl.train import (PHASES, _epoch_views, _record, build_model,
-                         epoch_plans, epoch_seed, fgw_config, run_epoch,
-                         train)
+from fgwcl.optim import AdamState, zero_grads
+from fgwcl.train import (PHASES, _epoch_views, _record, apply_update,
+                         build_model, epoch_plans, epoch_seed, fgw_config,
+                         run_epoch, train)
 from conftest import tiny_config, tiny_graph
 
 
@@ -214,6 +214,23 @@ class TestHelpers:
         assert np.isfinite(breakdown.total.item)
         assert set(times) == {"encode", "generate", "sample", "ot", "node",
                               "solve"}
+
+    @pytest.mark.parametrize("node_loss", ["full", "v2"])
+    def test_apply_update_consumes_the_tape(self, node_loss):
+        g = tiny_graph()
+        cfg = tiny_config(node_loss=node_loss)
+        model = build_model(cfg, g)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        breakdown, _ = run_epoch(model, prepare_graph(g), cfg,
+                                 fgw_config(cfg), get_backend(), epoch=0)
+        assert len(ad.active_tape()) > 0
+        apply_update(model, breakdown,
+                     AdamState(model.encoder_generator_params(), cfg.lr),
+                     AdamState(model.fusion_params(), cfg.lr_fusion))
+        assert len(ad.active_tape()) == 0
+        assert all(p.grad is None for p in model.params.values())
+        assert any(not np.array_equal(p.data, before[k])
+                   for k, p in model.params.items())
 
 
 def _params_and_grads(model, breakdown):
