@@ -14,12 +14,12 @@ and recomputes the dropped-out inputs in backward.
 The module owns the active tape, and the tape owns its ops and their
 tensors. Tensors refer back to their tape only weakly, so reset_tape()
 frees the previous step's tape and every intermediate on it by reference
-counting alone; run backward before resetting. A step's last backward
-can free the tape sooner: backward(loss, release=True) takes each record
-off as it runs the record's rule, so the record's output and the forward
-arrays its rule holds go while the pass runs, and the peak of the pass
-is its own working set on top of the part of the tape not yet consumed,
-not on top of the whole tape. A consumed tape cannot be run again.
+counting alone; run backward before resetting. backward frees the tape
+sooner still: it takes each record off as it runs the record's rule, so
+the record's output and the forward arrays its rule holds go while the
+pass runs, and the peak of the pass is its own working set on top of the
+part of the tape not yet consumed, not on top of the whole tape. A
+consumed tape cannot be run again; build the loss anew for another pass.
 
 Ops are built and differentiated on the calling thread, except that
 info_nce's one tile walk, which serves its forward and backward pass,
@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 NORM_EPS = 1e-12  # rows with L2 norm below this are treated as zero vectors
 
@@ -65,8 +64,8 @@ class Tape:
 
 
 _current_tape = Tape()
-# the tape every output of a record that backward(..., release=True) took
-# off refers to; it never holds an op
+# the tape every output of a record that backward took off refers to; it
+# never holds an op
 _CONSUMED = Tape()
 _consumed = weakref.ref(_CONSUMED)
 
@@ -172,17 +171,17 @@ def _consume(ops: list):
         yield op
 
 
-def backward(loss: Tensor, *, release: bool = False):
+def backward(loss: Tensor):
     """Accumulate d(loss)/dt into ``t.grad`` for every requires_grad tensor.
 
-    Repeated calls without resetting grads accumulate, matching the usual
-    gradient-accumulation semantics. With ``release=True`` the pass
-    consumes the loss's tape: it takes every record off, last to first,
-    as it runs that record's rule (or skips a record the loss does not
-    depend on), so each record's output and the arrays its rule holds are
-    freed by reference counting once nothing else refers to them. The
+    The pass consumes the loss's tape: it takes every record off, last to
+    first, as it runs that record's rule (or skips a record the loss does
+    not depend on), so each record's output and the arrays its rule holds
+    are freed by reference counting once nothing else refers to them. The
     tape is then empty, and a later backward from any of its outputs
-    raises RuntimeError.
+    raises RuntimeError. Backward passes over losses built anew without
+    resetting grads accumulate, matching the usual gradient-accumulation
+    semantics.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -196,10 +195,10 @@ def backward(loss: Tensor, *, release: bool = False):
                            "reset_tape()")
     if tape is _CONSUMED:
         raise RuntimeError("backward: the loss's tape was consumed by an "
-                           "earlier backward(..., release=True)")
+                           "earlier backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for op in _consume(tape.ops) if release else reversed(tape.ops):
+    for op in _consume(tape.ops):
         g = grads.pop(id(op.output), None)
         if g is None:
             continue
@@ -437,18 +436,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    n_rows = a.shape[0]
+    n_rows, n_cols = a.shape
 
     def back(g):
-        # np.add.at(zeros, idx, g) as one sparse product, bit for bit: the
-        # 0/1 matrix with a 1 at (idx[j], j), column-compressed, so scipy
-        # adds 1.0 * g[j] into row idx[j] of a zero result for j = 0, 1,
-        # ..., np.add.at's order. 4-10x faster than np.add.at on the
-        # training workloads' gathers from (10000, 8) and (2708, 128)
-        scatter = sp.csc_array((np.ones(idx.size), idx,
-                                np.arange(idx.size + 1)),
-                               shape=(n_rows, idx.size))
-        return (scatter @ g,)
+        z = np.zeros((n_rows, n_cols))
+        np.add.at(z, idx, g)
+        return (z,)
 
     return make_op("gather_rows", (a,), a.data[idx], back)
 

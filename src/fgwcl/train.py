@@ -195,9 +195,8 @@ def apply_update(model: Model, breakdown: LossBreakdown,
                  enc_state: AdamState, fus_state: AdamState) -> None:
     """Backward pass and both Adam steps; parameters that received no
     gradient this step (a loss part was skipped) are left unchanged. The
-    step's one backward pass is its last, so it releases the tape as it
-    goes."""
-    ad.backward(breakdown.total, release=True)
+    backward pass consumes the step's tape as it goes."""
+    ad.backward(breakdown.total)
     enc = model.encoder_generator_params()
     fus = model.fusion_params()
     adam_step({k: p for k, p in enc.items() if p.grad is not None},
