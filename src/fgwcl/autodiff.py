@@ -162,15 +162,6 @@ def make_op(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     return out
 
 
-def _consume(ops: list):
-    """The ops last to first, each taken off the list as it is handed out
-    and its output marked consumed."""
-    while ops:
-        op = ops.pop()
-        op.output._tape = _consumed
-        yield op
-
-
 def backward(loss: Tensor):
     """Accumulate d(loss)/dt into ``t.grad`` for every requires_grad tensor.
 
@@ -198,7 +189,9 @@ def backward(loss: Tensor):
                            "earlier backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for op in _consume(tape.ops):
+    while tape.ops:
+        op = tape.ops.pop()
+        op.output._tape = _consumed
         g = grads.pop(id(op.output), None)
         if g is None:
             continue
