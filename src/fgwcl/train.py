@@ -194,8 +194,7 @@ def run_epoch(model: Model, gt: GraphTensors, cfg: TrainConfig,
 def apply_update(model: Model, breakdown: LossBreakdown,
                  enc_state: AdamState, fus_state: AdamState) -> None:
     """Backward pass and both Adam steps; parameters that received no
-    gradient this step (a loss part was skipped) are left unchanged. The
-    backward pass consumes the step's tape as it goes."""
+    gradient this step (a loss part was skipped) are left unchanged."""
     ad.backward(breakdown.total)
     enc = model.encoder_generator_params()
     fus = model.fusion_params()
