@@ -2,9 +2,10 @@
 
 Every tensor is a (rows, cols) matrix; scalars are 1x1 and vectors are
 column matrices. Operations are module functions (Tensor overloads no
-operators) that record themselves on a tape, and a single
-backward pass over the tape fills the ``grad`` field of every tensor
-created with ``requires_grad=True``. The tape is rebuilt from scratch for
+operators) that record themselves on a tape, and a single backward pass
+over the tape fills the ``grad`` field of every tensor created with
+``requires_grad=True``, or raises ArithmeticError and fills none when one
+of those gradients is not finite. The tape is rebuilt from scratch for
 each training step, so the graph can change freely between steps.
 
 The tape keeps what backward cannot cheaply recompute. A dense layer,
@@ -119,12 +120,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -163,7 +158,9 @@ def make_op(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/dt into ``t.grad`` for every requires_grad tensor.
+    """Accumulate d(loss)/dt into ``t.grad`` for every requires_grad tensor,
+    after checking all of them: a non-finite one raises ArithmeticError
+    and no ``.grad`` changes.
 
     The pass consumes the loss's tape: it takes every record off, last to
     first, as it runs that record's rule (or skips a record the loss does
@@ -176,42 +173,39 @@ def backward(loss: Tensor):
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
-    if loss._tape is None:
-        if loss.requires_grad:
-            loss.accumulate_grad(np.ones((1, 1)))
-        return
-    tape = loss._tape()
+    # id -> (tensor, gradient); the tensor is held so its id stays unique
+    grads: dict[int, tuple] = {id(loss): (loss, np.ones((1, 1)))}
+    tape = Tape() if loss._tape is None else loss._tape()  # None: a leaf
     if tape is None:
         raise RuntimeError("backward: the loss's tape was released by "
                            "reset_tape()")
     if tape is _CONSUMED:
         raise RuntimeError("backward: the loss's tape was consumed by an "
                            "earlier backward")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    holders: dict[int, Tensor] = {id(loss): loss}
     while tape.ops:
         op = tape.ops.pop()
         op.output._tape = _consumed
-        g = grads.pop(id(op.output), None)
-        if g is None:
+        entry = grads.pop(id(op.output), None)
+        if entry is None:
             continue
-        holders.pop(id(op.output), None)
-        if op.output.requires_grad:
-            op.output.accumulate_grad(g)
-        in_grads = op.backward_rule(g)
+        in_grads = op.backward_rule(entry[1])
         for t, gt in zip(op.inputs, in_grads):
             if gt is None or not t._flow:
                 continue
             key = id(t)
             if key in grads:
-                grads[key] = grads[key] + gt
-            else:
-                grads[key] = gt
-                holders[key] = t
-    for key, g in grads.items():
-        t = holders[key]
-        if t.requires_grad:
-            t.accumulate_grad(g)
+                gt = grads[key][1] + gt
+            grads[key] = (t, gt)
+    leaves = [(t, g) for t, g in grads.values() if t.requires_grad]
+    for t, g in leaves:
+        if not np.isfinite(g).all():
+            raise ArithmeticError(
+                f"backward: non-finite gradient for a {t.shape} leaf")
+    for t, g in leaves:
+        if t.grad is None:
+            t.grad = g.copy()
+        else:
+            t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +437,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 # reductions
 #
 # Their backward rules return read-only broadcast views, not new buffers:
-# backward never writes into an incoming gradient, and accumulate_grad
-# copies on first write.
+# backward never writes into an incoming gradient, and copies it into a
+# leaf's grad on first write.
 
 def sum_all(a: Tensor) -> Tensor:
     a = _lift(a)

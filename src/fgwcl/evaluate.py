@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import TrainConfig
+from .config import TrainConfig, check_integers
 from .graph import Graph, SplitSpec, make_splits
 from .model import GraphTensors, Model, prepare_graph
 
@@ -121,8 +121,9 @@ def evaluate(model: Model, g: Graph, cfg: TrainConfig,
     """Probe accuracy across split seeds with a bootstrap CI."""
     if g.labels is None:
         raise ValueError("evaluation requires node labels")
+    check_integers(seeds=seeds)
     if seeds < 1:
-        raise ValueError("need at least one evaluation seed")
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     gt = prepare_graph(g, cfg.degree_feature, cfg.normalize_features)
     features = embed(model, gt)
     accuracies = []

@@ -11,6 +11,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .config import check_integers
+
 log = logging.getLogger(__name__)
 
 DEV_FRACTION = 0.8  # dev/test partition, fixed before any seeding
@@ -402,6 +404,12 @@ def make_splits(g: Graph, mode: str, seed: int,
         raise ValueError("splits require labels")
     if mode not in ("planetoid", "fractional"):
         raise ValueError(f"unknown split mode {mode!r}")
+    check_integers(per_class=per_class)
+    if per_class < 1:
+        raise ValueError(f"per_class must be at least 1, got {per_class}")
+    if not 0.0 < train_fraction < 1.0:  # NaN fails too
+        raise ValueError(f"train_fraction must lie in (0, 1), got "
+                         f"{train_fraction!r}")
     dev_mask, test_mask = _dev_test_partition(g.n)
     rng = np.random.default_rng(seed)
     train_mask = np.zeros(g.n, dtype=bool)

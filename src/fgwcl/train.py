@@ -10,7 +10,10 @@ epoch, so every prefix of the stream is valid line-delimited JSON. Each
 line carries the losses, the solver telemetry, the node loss's index
 count and distinct rows, the fusion gate's range and the channels' mean
 row norms, the phase times of the calling thread, the worker's solve
-time and the process's peak RSS so far.
+time and the process's peak RSS so far. An epoch that raises
+ArithmeticError (a non-finite op result or gradient, or a failed solve)
+does so before either Adam step writes, so training stops with the
+weights of the last completed epoch and keeps no copy of them.
 """
 
 from __future__ import annotations
@@ -255,35 +258,27 @@ def train(cfg: TrainConfig, g: Graph, out_dir, threads: int = 1,
     metrics_path = out / "metrics.jsonl"
     records: list[dict] = []
     divergence = None
-    last_good = {k: v.data.copy() for k, v in model.params.items()}
     with open(metrics_path, "w") as stream:
         for epoch in range(cfg.epochs):
             try:
                 t_epoch = time.perf_counter()
                 breakdown, times = run_epoch(model, gt, cfg, fgw, backend,
                                              epoch)
-                total = breakdown.total.item
-                if not np.isfinite(total):
-                    raise ArithmeticError(f"total loss is {total}")
                 t0 = time.perf_counter()
                 apply_update(model, breakdown, enc_state, fus_state)
                 times["backward"] = time.perf_counter() - t0
                 times["epoch"] = time.perf_counter() - t_epoch
             except ArithmeticError as exc:
-                log.error("diverged at epoch %d (%s); keeping the last "
-                          "good weights", epoch, exc)
+                log.error("diverged at epoch %d (%s); keeping the weights "
+                          "of the last completed epoch", epoch, exc)
                 divergence = {"epoch": epoch, "error": str(exc)}
                 break
             rec = _record(epoch, breakdown, times)
             stream.write(json.dumps(rec) + "\n")
             stream.flush()
             records.append(rec)
-            last_good = {k: v.data.copy() for k, v in model.params.items()}
     ad.reset_tape()  # frees the last step's tape
     diverged = divergence is not None
-    if diverged:
-        for name, tensor in model.params.items():
-            tensor.data = last_good[name]
 
     checkpoint_path = out / "checkpoint.bin"
     save_checkpoint(checkpoint_path, model,

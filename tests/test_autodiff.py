@@ -92,6 +92,23 @@ class TestValidation:
         with pytest.raises(ArithmeticError, match=r"exp: .* \(1, 2\) result"):
             ad.exp(ad.Tensor([[0.0, 800.0]]))
 
+    def test_nonfinite_gradient_raises_and_writes_no_grad(self):
+        # log's forward at a subnormal input is finite (-736.8), but its
+        # gradient 1/x overflows; backward writes no grad at all, not even
+        # the other leaf's finite one
+        ad.reset_tape()
+        x = ad.Tensor([[1e-320]], requires_grad=True)
+        y = ad.Tensor([[2.0]], requires_grad=True)
+        loss = ad.add(ad.log(x), ad.mul(y, y))
+        assert np.isfinite(loss.item)
+        with np.errstate(divide="ignore", over="ignore"):
+            with pytest.raises(ArithmeticError,
+                               match=r"non-finite gradient for a \(1, 1\) "
+                                     r"leaf"):
+                ad.backward(loss)
+        assert x.grad is None
+        assert y.grad is None
+
     def test_nonfinite_input_raises(self):
         with pytest.raises(ArithmeticError):
             ad.Tensor([[np.nan]])

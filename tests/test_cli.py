@@ -102,6 +102,21 @@ class TestEval:
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--train-fraction", "1.5", "train_fraction"),
+        ("--per-class", "0", "per_class"),
+    ])
+    def test_bad_split_setting_fails_by_name(self, trained, tmp_path,
+                                             graph_files, config_file,
+                                             capsys, flag, value, field):
+        rc = cli.main(["eval", "--config", config_file, "--out",
+                       str(tmp_path), "--checkpoint",
+                       str(trained / "checkpoint.bin"), flag, value]
+                      + graph_args(graph_files))
+        assert rc == 1
+        assert f"error: {field} must" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_checkpoint_fails(self, tmp_path, graph_files, capsys):
         stub = tmp_path / "stub.bin"
         stub.write_bytes(b"\x00" * 4)

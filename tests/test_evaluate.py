@@ -122,6 +122,12 @@ class TestEvaluate:
         b = evaluate(model, g, cfg, seeds=3)
         assert a == b
 
+    @pytest.mark.parametrize("seeds", [0, -1, 2.5, True, float("nan")])
+    def test_bad_seed_count_rejected_by_name(self, seeds):
+        g, cfg, model = self._setup()
+        with pytest.raises(ValueError, match="seeds"):
+            evaluate(model, g, cfg, seeds=seeds)
+
     def test_requires_labels(self, rng):
         from fgwcl.graph import make_graph
         g = make_graph([(0, 1)], rng.standard_normal((4, 6)))

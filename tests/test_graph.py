@@ -335,3 +335,16 @@ class TestSplits:
         g = self.make_labeled()
         with pytest.raises(ValueError):
             gr.make_splits(g, "random", seed=0)
+
+    @pytest.mark.parametrize("mode", ["planetoid", "fractional"])
+    @pytest.mark.parametrize("field, value", [
+        ("train_fraction", 1.5), ("train_fraction", 1.0),
+        ("train_fraction", 0.0), ("train_fraction", -0.5),
+        ("train_fraction", float("nan")),
+        ("per_class", 0), ("per_class", -1), ("per_class", 2.5),
+        ("per_class", True),
+    ])
+    def test_bad_split_settings_rejected_by_name(self, mode, field, value):
+        g = self.make_labeled()
+        with pytest.raises(ValueError, match=field):
+            gr.make_splits(g, mode, seed=0, **{field: value})

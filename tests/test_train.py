@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import threading
@@ -101,11 +102,65 @@ class TestTrainLoop:
         assert summary["diverged"] is True
         assert summary["divergence"]["epoch"] == len(result.records)
         assert summary["divergence"]["error"]
-        # the checkpoint must hold the retained (finite) weights
+        # the checkpoint must hold the retained (finite) weights: those of
+        # the same config trained for the epochs that completed
         _, arrays = load_checkpoint(result.checkpoint_path)
+        clean = train(dataclasses.replace(cfg, epochs=len(result.records)),
+                      tiny_graph(), tmp_path / "clean")
+        _, clean_arrays = load_checkpoint(clean.checkpoint_path)
+        assert arrays.keys() == clean_arrays.keys()
         for name, arr in arrays.items():
             assert np.all(np.isfinite(arr)), name
             assert_allclose(arr, result.model.params[name].data)
+            assert arr.tobytes() == clean_arrays[name].tobytes(), name
+
+    def test_nonfinite_gradient_diverges_and_writes_no_weight(
+            self, tmp_path, monkeypatch):
+        # one dense weight gradient of epoch 1's backward is made NaN; the
+        # epoch must fail in backward, before either Adam step, and leave
+        # the weights of epoch 0
+        cfg = tiny_config(epochs=3)
+        epoch = [None]
+        run_epoch = train_module.run_epoch
+
+        def tracked_run_epoch(model, gt, cfg, fgw, backend, at, *rest):
+            epoch[0] = at
+            return run_epoch(model, gt, cfg, fgw, backend, at, *rest)
+
+        make_op = ad.make_op
+        poisoned = []
+
+        def poisoning_make_op(kind, inputs, out_data, rule):
+            if kind != "dense" or epoch[0] != 1 or poisoned:
+                return make_op(kind, inputs, out_data, rule)
+            leaf = next(i for i, t in enumerate(inputs) if t.requires_grad)
+            poisoned.append(kind)
+
+            def nan_rule(g):
+                grads = list(rule(g))
+                grads[leaf] = np.full(inputs[leaf].shape, np.nan)
+                return tuple(grads)
+            return make_op(kind, inputs, out_data, nan_rule)
+
+        monkeypatch.setattr(train_module, "run_epoch", tracked_run_epoch)
+        monkeypatch.setattr(ad, "make_op", poisoning_make_op)
+        g = tiny_graph()
+        result = train(cfg, g, tmp_path / "run")
+        assert poisoned == ["dense"]
+        assert result.diverged
+        assert len(result.records) == 1
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["divergence"]["epoch"] == 1
+        assert "backward: non-finite gradient" in \
+            summary["divergence"]["error"]
+        monkeypatch.undo()
+        clean = train(dataclasses.replace(cfg, epochs=1), g,
+                      tmp_path / "clean")
+        _, arrays = load_checkpoint(result.checkpoint_path)
+        _, clean_arrays = load_checkpoint(clean.checkpoint_path)
+        assert arrays.keys() == clean_arrays.keys()
+        for name, arr in arrays.items():
+            assert arr.tobytes() == clean_arrays[name].tobytes(), name
 
     def test_no_tape_outlives_training(self, tmp_path):
         g = tiny_graph()
